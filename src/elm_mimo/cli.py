@@ -112,6 +112,8 @@ def main(argv=None) -> int:
         return _selftest()
     try:
         cfg = _load(args)
+        if args.parallel < 1:
+            raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
         if args.command == "ser-sweep":
             records = harness.run_ser_sweep(cfg, n_jobs=args.parallel)
         elif args.command == "bias-ablation":

@@ -130,19 +130,6 @@ def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
     return y
 
 
-def transmit_tv(H_block: np.ndarray, x: np.ndarray, sigma2: float,
-                rng: np.random.Generator,
-                saleh: SalehParams | None = None) -> np.ndarray:
-    """Per-symbol time-varying version: H_block is (M, N, K), x is (M, K)."""
-    s = pa_distort(x, saleh) if saleh is not None else np.asarray(x)
-    y = np.einsum("mnk,mk->mn", H_block, s)
-    if sigma2 > 0:
-        scale = np.sqrt(sigma2 / 2.0)
-        n = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        y = y + scale * n
-    return y
-
-
 @dataclass(frozen=True)
 class AdcConfig:
     """Mid-rise ADC with clipping, plus frozen per-antenna bias vectors.

@@ -9,11 +9,16 @@ parallelism.
 """
 from __future__ import annotations
 
+import ctypes
 import json
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
@@ -512,9 +517,68 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
 # Runners: parallel trial execution + order-independent merge
 
 
+def _pool_shape(n_jobs: int, trials: int, nproc: int):
+    """(worker processes, BLAS threads per worker) for `trials` trials
+    over `n_jobs` requested workers on `nproc` cores."""
+    workers = min(n_jobs, trials, nproc)
+    return workers, max(1, nproc // workers)
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
+
+
+# Thread-count setters of the OpenBLAS copies bundled in numpy.libs
+# (64-bit integer interface) and scipy.libs.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads")
+
+
+def _loaded_openblas():
+    """Handles of the OpenBLAS copies numpy and scipy bundle and have
+    loaded into this process; none under MKL or a system BLAS."""
+    libs = []
+    for package in (np, scipy):
+        libdir = (Path(package.__file__).parent.parent
+                  / f"{package.__name__}.libs")
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            try:
+                libs.append(ctypes.CDLL(
+                    str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
+            except OSError:  # bundled but not loaded
+                continue
+    return libs
+
+
+def _set_blas_threads(n: int):
+    """Pool initializer: size this worker's BLAS thread pools to n, so the
+    workers together use no more threads than there are cores."""
+    for lib in _loaded_openblas():
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(n)
+
+
+def _trial_pool(workers: int, blas_threads: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers,
+                               initializer=_set_blas_threads,
+                               initargs=(blas_threads,))
+
+
 def _run_trials(worker, cfg: ExperimentConfig, n_jobs: int):
-    if n_jobs > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
+            or n_jobs < 1):
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    workers, blas_threads = _pool_shape(n_jobs, cfg.trials, _cpu_count())
+    if workers > 1:
+        with _trial_pool(workers, blas_threads) as pool:
             results = list(pool.map(worker, [cfg] * cfg.trials,
                                     range(cfg.trials)))
     else:

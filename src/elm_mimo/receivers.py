@@ -8,7 +8,7 @@ biased before quantization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -181,13 +181,14 @@ class AdaptiveElmReceiver:
 
     rls: RlsState
     n_users: int
+    gamma: float
 
 
 def oselm_init(R0: np.ndarray, X0: np.ndarray, gamma: float,
                lam: float) -> AdaptiveElmReceiver:
     T0 = np.concatenate([X0.real, X0.imag], axis=1)
     return AdaptiveElmReceiver(rls=rls_init(R0, T0, gamma, lam),
-                               n_users=X0.shape[1])
+                               n_users=X0.shape[1], gamma=gamma)
 
 
 def oselm_update(recv: AdaptiveElmReceiver, R_chunk: np.ndarray,
@@ -199,11 +200,11 @@ def oselm_update(recv: AdaptiveElmReceiver, R_chunk: np.ndarray,
     state = recv.rls
     for r, t in zip(R_chunk, T):
         state = rls_step(state, r, t)
-    return AdaptiveElmReceiver(rls=state, n_users=recv.n_users)
+    return replace(recv, rls=state)
 
 
 def oselm_weights(recv: AdaptiveElmReceiver) -> RealImagWeights:
     K = recv.n_users
     beta = recv.rls.beta
     return RealImagWeights(beta_re=beta[:, :K].copy(),
-                           beta_im=beta[:, K:].copy(), gamma=np.nan)
+                           beta_im=beta[:, K:].copy(), gamma=recv.gamma)

@@ -1,13 +1,15 @@
 """Tests for experiment orchestration: configs, determinism, CSV output,
 and sanity properties of the three experiment runners."""
+import ctypes
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from elm_mimo import cli
+from elm_mimo import cli, harness
 from elm_mimo.channel import ChannelConfig
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
                               AdaptiveConfig, ExperimentConfig, config_from_dict,
@@ -274,6 +276,65 @@ def test_adaptive_parallel_determinism():
     assert run_adaptive(cfg, n_jobs=1) == run_adaptive(cfg, n_jobs=3)
 
 
+@pytest.mark.parametrize("run", [run_ser_sweep, run_bias_ablation,
+                                 run_adaptive])
+@pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", True])
+def test_runners_reject_bad_n_jobs(run, n_jobs):
+    with pytest.raises(ValueError, match="n_jobs"):
+        run(_small_config(), n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("n_jobs, trials, nproc, shape", [
+    (1, 8, 4, (1, 4)),
+    (2, 8, 4, (2, 2)),
+    (3, 8, 4, (3, 1)),
+    (64, 8, 4, (4, 1)),     # capped by the cores
+    (64, 2, 4, (2, 2)),     # capped by the trials
+    (2, 1, 4, (1, 4)),      # one trial never needs a pool
+    (4, 8, 1, (1, 1)),
+    (10**6, 10**6, 2, (2, 1)),
+])
+def test_pool_shape_caps_workers_and_splits_cores(n_jobs, trials, nproc,
+                                                  shape):
+    assert harness._pool_shape(n_jobs, trials, nproc) == shape
+
+
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads")
+
+
+def _blas_threads():
+    """Thread count of each loaded bundled OpenBLAS, read through the
+    library's own getter."""
+    counts = []
+    for lib in harness._loaded_openblas():
+        name = next(n for n in _OPENBLAS_GETTERS if hasattr(lib, n))
+        getter = getattr(lib, name)
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+def _worker_blas_threads(_):
+    return os.getpid(), _blas_threads()
+
+
+def test_pool_workers_get_their_share_of_blas_threads():
+    before = _blas_threads()
+    if not before:
+        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
+    nproc = harness._cpu_count()
+    workers, threads = harness._pool_shape(2, 2, nproc)
+    assert threads == max(1, nproc // workers)
+    with harness._trial_pool(workers, threads) as pool:
+        seen = list(pool.map(_worker_blas_threads, range(4)))
+    for pid, counts in seen:
+        assert pid != os.getpid()
+        assert counts == [threads] * len(before)
+    assert _blas_threads() == before
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -309,6 +370,23 @@ def test_cli_rejects_bad_config(tmp_path):
     rc = cli.main(["ser-sweep", "--config", str(cfg_path),
                    "--out", str(tmp_path / "o.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_rejects_parallel_below_one(tmp_path, capsys, value):
+    out = tmp_path / "o.csv"
+    rc = cli.main(["ser-sweep", "--out", str(out), "--parallel", value])
+    assert rc == 2
+    assert "--parallel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_non_integer_parallel(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ser-sweep", "--out", str(tmp_path / "o.csv"),
+                  "--parallel", "1.5"])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
 
 
 def test_cli_selftest():

@@ -211,6 +211,16 @@ def test_oselm_lambda_one_matches_batch():
     assert np.allclose(w.beta_im, batch.beta_im, rtol=1e-8, atol=1e-10)
 
 
+def test_oselm_weights_carry_configured_gamma():
+    rng = np.random.default_rng(20)
+    R0 = rng.standard_normal((20, 4))
+    X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+    recv = oselm_init(R0, X0, 0.25, 0.98)
+    assert oselm_weights(recv).gamma == 0.25
+    recv = oselm_update(recv, R0[:5], X0[:5])
+    assert oselm_weights(recv).gamma == 0.25
+
+
 def test_oselm_empty_chunk_is_identity():
     rng = np.random.default_rng(18)
     R0 = rng.standard_normal((20, 4))
