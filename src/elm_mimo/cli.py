@@ -17,15 +17,22 @@ from .core import real_composite, real_stack, ridge_solve, rls_init, rls_step
 from .frontend import AdcConfig, quantize
 
 
+# experiment subcommand -> (runner, help)
+_EXPERIMENTS = {
+    "ser-sweep": (harness.run_ser_sweep, "quasi-static SER-vs-SNR sweep"),
+    "bias-ablation": (harness.run_bias_ablation,
+                      "biasing/quantization ablation"),
+    "adaptive": (harness.run_adaptive, "time-varying channel tracking"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="elm-mimo",
         description="Monte Carlo SER experiments for ELM-style massive "
                     "MIMO receivers")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (("ser-sweep", "quasi-static SER-vs-SNR sweep"),
-                      ("bias-ablation", "biasing/quantization ablation"),
-                      ("adaptive", "time-varying channel tracking")):
+    for name, (_, doc) in _EXPERIMENTS.items():
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--preset", choices=("desk", "paper"),
@@ -114,13 +121,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.parallel < 1:
             raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
-        if args.command == "ser-sweep":
-            records = harness.run_ser_sweep(cfg, n_jobs=args.parallel)
-        elif args.command == "bias-ablation":
-            records = harness.run_bias_ablation(cfg, n_jobs=args.parallel)
-        else:
-            records = harness.run_adaptive(cfg, n_jobs=args.parallel)
-        harness.write_csv(records, args.out)
+        run = _EXPERIMENTS[args.command][0]
+        harness.write_csv(run(cfg, n_jobs=args.parallel), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,25 @@
-"""Experiment orchestration: configs, seeded Monte Carlo SER sweeps,
-the bias/quantization ablation, the adaptive tracking experiment, and
-CSV emission.
+"""Experiment orchestration: configs, seeded Monte Carlo trials of the
+SER sweep, the bias/quantization ablation and the adaptive tracking
+experiment, and CSV emission.
 
-All runs are deterministic in (config, master_seed): each trial derives
-its RNG streams from SeedSequence([master_seed, trial]), and results
-are merged by summation, so the outcome is independent of the degree of
-parallelism.
+The quasi-static experiments share one trial engine.  A receiver is an
+arm: a converter plus a readout (train, detect) from the `_RECEIVERS`
+table that reads the converter's biased quantized stack or its unbiased
+I/Q quantization.  The sweep puts the configured receivers behind one
+converter, the ablation the natural-ELM readout behind four.  Per SNR
+point the engine calibrates the converter, trains all arms on one
+shared training block and scores them on the same payload.  The
+adaptive experiment runs its own frame loop on the same helpers.
+
+Runs are deterministic in (config, master_seed).  Each trial draws from
+five streams spawned from SeedSequence([master_seed, trial]): channel,
+noise, symbols, biases and borrowed-ELM weights.  The draw order within
+each stream is part of the CSV contract: per SNR point the biases, the
+preamble (none for an ideal converter), the training block and the
+payload in 4096-vector chunks; in the adaptive experiment the initial
+block, then per frame the training burst, the benchmark block and the
+whole payload.  Trials merge by summation, so the outcome does not
+depend on the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -13,8 +27,10 @@ import ctypes
 import json
 import numbers
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +139,13 @@ def paper_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization.  The on-disk format is a strict JSON document:
-# unknown keys are rejected with the offending key named.
+# Config (de)serialization.  The on-disk format is a strict JSON document
+# derived from the dataclass fields: unknown keys and values of the wrong
+# type are rejected with the offending key named.
+
+# "adc" object key -> ExperimentConfig field
+_ADC_FIELDS = {"bits": "adc_bits", "headroom": "adc_headroom",
+               "bias_scale": "bias_scale"}
 
 
 def _check_keys(d: dict, allowed, where: str):
@@ -134,108 +155,69 @@ def _check_keys(d: dict, allowed, where: str):
             f"unknown config key '{sorted(unknown)[0]}' in {where}")
 
 
-_CHANNEL_KEYS = ("n_antennas", "n_users", "carrier_hz", "symbol_duration_s",
-                 "angular_spread_deg", "n_rays", "velocity_mps",
-                 "mean_aoa_range_rad")
-_SALEH_KEYS = ("alpha_a", "eps_a", "alpha_phi", "eps_phi")
-_ADC_KEYS = ("bits", "headroom", "bias_scale")
-_ADAPTIVE_KEYS = ("init_len", "frame_training_len", "frame_data_len",
-                  "forgetting", "n_frames", "benchmark_training_len")
-_TOP_KEYS = ("channel", "saleh", "adc", "snr_db_list", "training_len",
-             "payload_len", "preamble_len", "receivers", "gamma",
-             "borrowed_hidden", "adaptive", "trials", "master_seed",
-             "per_user", "snr_reference")
+def _typed(value, default, key: str):
+    """A JSON value checked against the type of the default it replaces;
+    an object is checked key by key against a default dataclass or dict."""
+    if is_dataclass(default) or isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key '{key}' must be an object, "
+                             f"got {value!r}")
+        template = vars(default) if is_dataclass(default) else default
+        _check_keys(value, template, key)
+        value = {k: _typed(v, template[k], f"{key}.{k}")
+                 for k, v in value.items()}
+        return type(default)(**value) if is_dataclass(default) else value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key '{key}' must be a list, "
+                             f"got {value!r}")
+        return tuple(_typed(v, default[0], key) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default),
+                                                          type(default))
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       != isinstance(default, bool)):
+        raise ValueError(f"config key '{key}' must be of type "
+                         f"{type(default).__name__}, got {value!r}")
+    return value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _check_keys(data, _TOP_KEYS, "top level")
+    if not isinstance(data, dict):
+        raise ValueError("config root must be a JSON object")
+    defaults = dict(vars(ExperimentConfig()))
+    defaults["adc"] = {k: defaults.pop(name)
+                       for k, name in _ADC_FIELDS.items()}
+    _check_keys(data, defaults, "top level")
     kwargs = {}
-    if "channel" in data:
-        ch = dict(data["channel"])
-        _check_keys(ch, _CHANNEL_KEYS, "channel")
-        if "mean_aoa_range_rad" in ch:
-            ch["mean_aoa_range_rad"] = tuple(ch["mean_aoa_range_rad"])
-        kwargs["channel"] = ChannelConfig(**ch)
-    if "saleh" in data:
-        sal = data["saleh"]
-        if sal == "bypass":
+    for key, value in data.items():
+        if key == "saleh" and value == "bypass":
             kwargs["saleh"] = None
-        else:
-            _check_keys(sal, _SALEH_KEYS, "saleh")
-            kwargs["saleh"] = SalehParams(**sal)
-    if "adc" in data:
-        adc = data["adc"]
-        if adc == "ideal":
+        elif key == "adc" and value == "ideal":
             kwargs["adc_bits"] = None
-        else:
-            _check_keys(adc, _ADC_KEYS, "adc")
-            kwargs["adc_bits"] = adc.get("bits", 6)
-            kwargs["adc_headroom"] = adc.get("headroom", 3.0)
-            kwargs["bias_scale"] = adc.get("bias_scale", 0.1)
-    if "adaptive" in data:
-        ad = data["adaptive"]
-        _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
-        kwargs["adaptive"] = AdaptiveConfig(**ad)
-    if "gamma" in data:
-        g = data["gamma"]
-        if isinstance(g, dict):
-            _check_keys(g, ("natural-elm", "borrowed-elm", "trained-zf",
-                            "oselm"), "gamma")
-            kwargs["gamma"] = dict(g)
-        else:
+        elif key == "adc":
+            adc = _typed(value, defaults["adc"], "adc")
+            kwargs.update((_ADC_FIELDS[k], v) for k, v in adc.items())
+        elif key == "gamma" and not isinstance(value, dict):
             kwargs["gamma"] = dict.fromkeys(
-                ("natural-elm", "borrowed-elm", "trained-zf", "oselm"),
-                float(g))
-    for key in ("snr_db_list", "receivers"):
-        if key in data:
-            kwargs[key] = tuple(data[key])
-    for key in ("training_len", "payload_len", "preamble_len",
-                "borrowed_hidden", "trials", "master_seed", "per_user",
-                "snr_reference"):
-        if key in data:
-            kwargs[key] = data[key]
+                defaults["gamma"], float(_typed(value, 1.0, "gamma")))
+        else:
+            kwargs[key] = _typed(value, defaults[key], key)
     return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    ch = cfg.channel
-    return {
-        "channel": {
-            "n_antennas": ch.n_antennas, "n_users": ch.n_users,
-            "carrier_hz": ch.carrier_hz,
-            "symbol_duration_s": ch.symbol_duration_s,
-            "angular_spread_deg": ch.angular_spread_deg,
-            "n_rays": ch.n_rays, "velocity_mps": ch.velocity_mps,
-            "mean_aoa_range_rad": list(ch.mean_aoa_range_rad),
-        },
-        "saleh": "bypass" if cfg.saleh is None else {
-            "alpha_a": cfg.saleh.alpha_a, "eps_a": cfg.saleh.eps_a,
-            "alpha_phi": cfg.saleh.alpha_phi, "eps_phi": cfg.saleh.eps_phi,
-        },
-        "adc": "ideal" if cfg.adc_bits is None else {
-            "bits": cfg.adc_bits, "headroom": cfg.adc_headroom,
-            "bias_scale": cfg.bias_scale,
-        },
-        "snr_db_list": list(cfg.snr_db_list),
-        "training_len": cfg.training_len,
-        "payload_len": cfg.payload_len,
-        "preamble_len": cfg.preamble_len,
-        "receivers": list(cfg.receivers),
-        "gamma": dict(cfg.gamma),
-        "borrowed_hidden": cfg.borrowed_hidden,
-        "adaptive": {
-            "init_len": cfg.adaptive.init_len,
-            "frame_training_len": cfg.adaptive.frame_training_len,
-            "frame_data_len": cfg.adaptive.frame_data_len,
-            "forgetting": cfg.adaptive.forgetting,
-            "n_frames": cfg.adaptive.n_frames,
-            "benchmark_training_len": cfg.adaptive.benchmark_training_len,
-        },
-        "trials": cfg.trials,
-        "master_seed": cfg.master_seed,
-        "per_user": cfg.per_user,
-        "snr_reference": cfg.snr_reference,
-    }
+    data = {}
+    for key, value in asdict(cfg, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in items}).items():
+        if key == "saleh" and value is None:
+            data["saleh"] = "bypass"
+        elif key == "adc_bits":
+            data["adc"] = "ideal" if value is None else {
+                k: getattr(cfg, name) for k, name in _ADC_FIELDS.items()}
+        elif key not in _ADC_FIELDS.values():
+            data[key] = value
+    return data
 
 
 def load_config(path) -> ExperimentConfig:
@@ -244,8 +226,6 @@ def load_config(path) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
     return config_from_dict(data)
 
 
@@ -284,233 +264,178 @@ def write_csv(records, path):
 
 
 # ---------------------------------------------------------------------------
-# Shared per-trial machinery
+# Trials: shared machinery and the quasi-static engine
 
 
-def _trial_streams(cfg: ExperimentConfig, trial: int):
-    ss = np.random.SeedSequence([cfg.master_seed, trial])
-    kids = ss.spawn(5)
-    return (kids[0],
-            np.random.default_rng(kids[1]),   # noise
-            np.random.default_rng(kids[2]),   # symbols
-            np.random.default_rng(kids[3]),   # biases
-            np.random.default_rng(kids[4]))   # borrowed-ELM init
+class _Trial:
+    """One trial's RNG streams, current channel matrix and noise level,
+    and its symbol and error counts per record key."""
+
+    def __init__(self, cfg: ExperimentConfig, trial: int):
+        kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
+        self.cfg, self.channel_seed, self.counts = cfg, kids[0], {}
+        self.H = self.snr = self.sigma2 = None
+        (self.noise, self.symbols, self.biases,
+         self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
+
+    def at_snr(self, snr_db: float):
+        self.snr = 10.0 ** (snr_db / 10.0)
+        self.sigma2 = self.cfg.signal_power() / self.snr
+
+    def send(self, n: int):
+        """n random symbol vectors over the link: (labels, x, y)."""
+        labels = QAM16.random_labels(self.symbols,
+                                     (n, self.cfg.channel.n_users))
+        x = QAM16.symbols(labels)
+        return labels, x, transmit(self.H, x, self.sigma2, self.noise,
+                                   self.cfg.saleh)
+
+    def calibrate(self, y) -> AdcConfig:
+        """Freeze the converter: full scale from the calibration samples y
+        (unused by an ideal converter) and fresh per-antenna biases."""
+        cfg = self.cfg
+        b_re, b_im = draw_biases(cfg.channel.n_antennas, cfg.bias_scale,
+                                 self.biases)
+        if cfg.adc_bits is None:
+            return ideal_adc(b_re, b_im)
+        adc = calibrate_adc(real_stack(y), cfg.adc_bits, cfg.adc_headroom)
+        return attach_biases(adc, b_re, b_im)
+
+    def detect_and_count(self, key, detect, model, R, labels):
+        """Detect one block and add its symbol and error counts under key =
+        (receiver, *rest), or under (receiver/user<k>, *rest) per user."""
+        errs = detect(model, R) != labels
+        per_user = self.cfg.per_user
+        for k, e in enumerate(errs.T if per_user else [errs]):
+            ukey = (f"{key[0]}/user{k}",) + key[1:] if per_user else key
+            sym, err = self.counts.get(ukey, (0, 0))
+            self.counts[ukey] = (sym + e.size, err + int(e.sum()))
 
 
-def _count_errors(counts, key, true_labels, det_labels, per_user):
-    errs = det_labels != true_labels
-    if per_user:
-        recv, rest = key[0], key[1:]
-        for k in range(true_labels.shape[1]):
-            ukey = (f"{recv}/user{k}",) + rest
-            sym, err = counts.get(ukey, (0, 0))
-            counts[ukey] = (sym + true_labels.shape[0],
-                            err + int(errs[:, k].sum()))
-    else:
-        sym, err = counts.get(key, (0, 0))
-        counts[key] = (sym + true_labels.size, err + int(errs.sum()))
+_Arm = namedtuple("_Arm", "name adc biased train detect")
+
+# receiver -> (biased, train(trial, R, X), detect(model, R)), R being the
+# biased quantized stack or the unbiased I/Q quantization.  Lambdas look
+# functions up when called, so run-time replacements (tracing) apply.
+_RECEIVERS = {
+    "natural-elm": (True, lambda t, R, X: train_natural_elm(
+        R, X, t.cfg.gamma_for("natural-elm")),
+        lambda m, R: detect_natural_elm(m, R)),
+    "trained-zf": (False, lambda t, R, X: train_zf_direct(
+        R, X, t.cfg.gamma_for("trained-zf")),
+        lambda m, R: detect_natural_elm(m, real_stack(R))),
+    "borrowed-elm": (False, lambda t, R, X: train_borrowed_elm(
+        real_stack(R), X, t.cfg.gamma_for("borrowed-elm"),
+        t.cfg.borrowed_hidden, t.borrowed_init),
+        lambda m, R: detect_borrowed_elm(m, real_stack(R))),
+    "zf": (False, lambda t, R, X: zf_weights(t.H),
+           lambda m, R: detect_linear(m, R)),
+    "mmse": (False, lambda t, R, X: mmse_weights(t.H, t.snr),
+             lambda m, R: detect_linear(m, R)),
+}
 
 
-def _calibrated_adc(cfg: ExperimentConfig, H, sigma2, sym_rng, noise_rng,
-                    bias_rng):
-    """Calibrate the converter on a preamble and freeze the bias vectors."""
-    N = cfg.channel.n_antennas
-    b_re, b_im = draw_biases(N, cfg.bias_scale, bias_rng)
-    if cfg.adc_bits is None:
-        return ideal_adc(b_re, b_im)
-    labels = QAM16.random_labels(sym_rng, (cfg.preamble_len,
-                                           cfg.channel.n_users))
-    y = transmit(H, QAM16.symbols(labels), sigma2, noise_rng, cfg.saleh)
-    adc = calibrate_adc(real_stack(y), cfg.adc_bits, cfg.adc_headroom)
-    return attach_biases(adc, b_re, b_im)
+def _front_end(arm, y):
+    """The converter output that the arm and the rest of its group read."""
+    return bias_quantize(y, arm.adc) if arm.biased else quantize_iq(y, arm.adc)
 
 
 _PAYLOAD_CHUNK = 4096
 
 
-# ---------------------------------------------------------------------------
-# Experiment 1: quasi-static SER sweep over SNR (five receivers)
-
-
-def _trial_ser_sweep(cfg: ExperimentConfig, trial: int) -> dict:
-    chan_seed, noise_rng, sym_rng, bias_rng, borrow_rng = \
-        _trial_streams(cfg, trial)
-    static = replace(cfg.channel, velocity_mps=0.0)
-    proc = draw_process(static, chan_seed)
-    H = realize(proc, 0)
-    K = static.n_users
-    Ps = cfg.signal_power()
-    counts = {}
+def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
+    """One quasi-static trial; arms_at(cfg, adc) lists the arms behind
+    the converter calibrated at each SNR point."""
+    t = _Trial(cfg, trial)
+    t.H = realize(draw_process(replace(cfg.channel, velocity_mps=0.0),
+                               t.channel_seed), 0)
     for snr_db in cfg.snr_db_list:
-        snr = 10.0 ** (snr_db / 10.0)
-        sigma2 = Ps / snr
-        adc = _calibrated_adc(cfg, H, sigma2, sym_rng, noise_rng, bias_rng)
-
-        tr_labels = QAM16.random_labels(sym_rng, (cfg.training_len, K))
-        x_tr = QAM16.symbols(tr_labels)
-        y_tr = transmit(H, x_tr, sigma2, noise_rng, cfg.saleh)
-
-        trained = {}
-        if "natural-elm" in cfg.receivers:
-            trained["natural-elm"] = train_natural_elm(
-                bias_quantize(y_tr, adc), x_tr, cfg.gamma_for("natural-elm"))
-        if "trained-zf" in cfg.receivers or "borrowed-elm" in cfg.receivers:
-            rq_tr = quantize_iq(y_tr, adc)
-            if "trained-zf" in cfg.receivers:
-                trained["trained-zf"] = train_zf_direct(
-                    rq_tr, x_tr, cfg.gamma_for("trained-zf"))
-            if "borrowed-elm" in cfg.receivers:
-                trained["borrowed-elm"] = train_borrowed_elm(
-                    real_stack(rq_tr), x_tr, cfg.gamma_for("borrowed-elm"),
-                    cfg.borrowed_hidden, borrow_rng)
-        if "zf" in cfg.receivers:
-            trained["zf"] = zf_weights(H)
-        if "mmse" in cfg.receivers:
-            trained["mmse"] = mmse_weights(H, snr)
-
-        done = 0
-        while done < cfg.payload_len:
-            n = min(_PAYLOAD_CHUNK, cfg.payload_len - done)
-            labels = QAM16.random_labels(sym_rng, (n, K))
-            y = transmit(H, QAM16.symbols(labels), sigma2, noise_rng,
-                         cfg.saleh)
-            rq = None
-            for recv in cfg.receivers:
-                if recv == "natural-elm":
-                    det = detect_natural_elm(trained[recv],
-                                             bias_quantize(y, adc))
-                else:
-                    if rq is None:
-                        rq = quantize_iq(y, adc)
-                    if recv == "trained-zf":
-                        det = detect_natural_elm(trained[recv],
-                                                 real_stack(rq))
-                    elif recv == "borrowed-elm":
-                        det = detect_borrowed_elm(trained[recv],
-                                                  real_stack(rq))
-                    else:
-                        det = detect_linear(trained[recv], rq)
-                _count_errors(counts, (recv, snr_db), labels, det,
-                              cfg.per_user)
-            done += n
-    return counts
+        t.at_snr(snr_db)
+        preamble = (None if cfg.adc_bits is None
+                    else t.send(cfg.preamble_len)[2])
+        groups = {}  # arms that share one converter output
+        for arm in arms_at(cfg, t.calibrate(preamble)):
+            groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
+        _, x, y = t.send(cfg.training_len)
+        models = {}
+        for group in groups.values():
+            R = _front_end(group[0], y)
+            for arm in group:
+                models[arm.name] = arm.train(t, R, x)
+            del R   # hold one converter output at a time
+        for done in range(0, cfg.payload_len, _PAYLOAD_CHUNK):
+            labels, _, y = t.send(min(_PAYLOAD_CHUNK,
+                                      cfg.payload_len - done))
+            for group in groups.values():
+                R = _front_end(group[0], y)
+                for arm in group:
+                    t.detect_and_count((arm.name, snr_db), arm.detect,
+                                       models[arm.name], R, labels)
+                del R
+    return t.counts
 
 
-# ---------------------------------------------------------------------------
-# Experiment 2: impact of biasing and quantization (four systems)
+def _sweep_arms(cfg: ExperimentConfig, adc: AdcConfig):
+    return [_Arm(name, adc, *_RECEIVERS[name]) for name in cfg.receivers]
+
 
 ABLATION_SYSTEMS = ("trained-zf-unquantized", "trained-zf-unquantized-biased",
                     "trained-zf-quantized", "natural-elm")
 
 
-def _trial_bias_ablation(cfg: ExperimentConfig, trial: int) -> dict:
-    chan_seed, noise_rng, sym_rng, bias_rng, _ = _trial_streams(cfg, trial)
-    static = replace(cfg.channel, velocity_mps=0.0)
-    proc = draw_process(static, chan_seed)
-    H = realize(proc, 0)
-    K = static.n_users
-    Ps = cfg.signal_power()
-    counts = {}
-    for snr_db in cfg.snr_db_list:
-        sigma2 = Ps / 10.0 ** (snr_db / 10.0)
-        bits = cfg.adc_bits if cfg.adc_bits is not None else 6
-        quant = _calibrated_adc(replace(cfg, adc_bits=bits), H, sigma2,
-                                sym_rng, noise_rng, bias_rng)
-        # "unquantized" keeps the converter's analog clipping range but
-        # has infinite amplitude resolution
-        clip = AdcConfig(bits=None, full_scale=quant.full_scale)
-        clip_biased = attach_biases(clip, quant.bias_re, quant.bias_im)
-        quant_nobias = AdcConfig(bits=bits, full_scale=quant.full_scale)
-        front_ends = {
-            "trained-zf-unquantized": clip,
-            "trained-zf-unquantized-biased": clip_biased,
-            "trained-zf-quantized": quant_nobias,
-            "natural-elm": quant,
-        }
-
-        tr_labels = QAM16.random_labels(sym_rng, (cfg.training_len, K))
-        x_tr = QAM16.symbols(tr_labels)
-        y_tr = transmit(H, x_tr, sigma2, noise_rng, cfg.saleh)
-        gamma = cfg.gamma_for("natural-elm")
-        weights = {name: train_natural_elm(bias_quantize(y_tr, fe), x_tr,
-                                           gamma)
-                   for name, fe in front_ends.items()}
-
-        done = 0
-        while done < cfg.payload_len:
-            n = min(_PAYLOAD_CHUNK, cfg.payload_len - done)
-            labels = QAM16.random_labels(sym_rng, (n, K))
-            y = transmit(H, QAM16.symbols(labels), sigma2, noise_rng,
-                         cfg.saleh)
-            for name, fe in front_ends.items():
-                det = detect_natural_elm(weights[name], bias_quantize(y, fe))
-                _count_errors(counts, (name, snr_db), labels, det,
-                              cfg.per_user)
-            done += n
-    return counts
+def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
+    """The natural-ELM readout behind four converters.  "unquantized" keeps
+    the converter's analog clipping range with infinite resolution."""
+    clip = AdcConfig(bits=None, full_scale=quant.full_scale)
+    converters = (clip, attach_biases(clip, quant.bias_re, quant.bias_im),
+                  AdcConfig(bits=quant.bits, full_scale=quant.full_scale),
+                  quant)
+    return [_Arm(name, adc, *_RECEIVERS["natural-elm"])
+            for name, adc in zip(ABLATION_SYSTEMS, converters)]
 
 
 # ---------------------------------------------------------------------------
-# Experiment 3: adaptive receiver over a time-varying channel
+# Adaptive receiver over a time-varying channel
 
 ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 
 
 def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
-    chan_seed, noise_rng, sym_rng, bias_rng, _ = _trial_streams(cfg, trial)
-    proc = draw_process(cfg.channel, chan_seed)
-    K = cfg.channel.n_users
+    t = _Trial(cfg, trial)
+    proc = draw_process(cfg.channel, t.channel_seed)
     ad = cfg.adaptive
     snr_db = cfg.snr_db_list[0]
-    sigma2 = cfg.signal_power() / 10.0 ** (snr_db / 10.0)
+    t.at_snr(snr_db)
     gamma = cfg.gamma_for("oselm")
 
     # The channel evolves across frames: H is sampled at each frame's
     # first symbol index and held for that frame (block fading), which
     # keeps the per-frame 3000-symbol benchmark well defined.
-    labels0 = QAM16.random_labels(sym_rng, (ad.init_len, K))
-    x0 = QAM16.symbols(labels0)
-    y0 = transmit(realize(proc, 0), x0, sigma2, noise_rng, cfg.saleh)
-    N = cfg.channel.n_antennas
-    b_re, b_im = draw_biases(N, cfg.bias_scale, bias_rng)
-    if cfg.adc_bits is None:
-        adc = ideal_adc(b_re, b_im)
-    else:
-        adc = attach_biases(
-            calibrate_adc(real_stack(y0), cfg.adc_bits, cfg.adc_headroom),
-            b_re, b_im)
+    t.H = realize(proc, 0)
+    _, x0, y0 = t.send(ad.init_len)
+    adc = t.calibrate(y0)
     recv = oselm_init(bias_quantize(y0, adc), x0, gamma, ad.forgetting)
     frozen_w = oselm_weights(recv)
 
     frame_len = ad.frame_training_len + ad.frame_data_len
-    counts = {}
     for f in range(ad.n_frames):
-        t0 = ad.init_len + f * frame_len
-        Hf = realize(proc, t0)
+        t.H = realize(proc, ad.init_len + f * frame_len)
         # adaptive update on the frame's training burst
-        labels_t = QAM16.random_labels(sym_rng, (ad.frame_training_len, K))
-        x_t = QAM16.symbols(labels_t)
-        y_t = transmit(Hf, x_t, sigma2, noise_rng, cfg.saleh)
+        _, x_t, y_t = t.send(ad.frame_training_len)
         recv = oselm_update(recv, bias_quantize(y_t, adc), x_t)
         # benchmark: batch retrain assuming a long training block is
         # available within the frame
-        labels_b = QAM16.random_labels(sym_rng,
-                                       (ad.benchmark_training_len, K))
-        x_b = QAM16.symbols(labels_b)
-        y_b = transmit(Hf, x_b, sigma2, noise_rng, cfg.saleh)
+        _, x_b, y_b = t.send(ad.benchmark_training_len)
         bench_w = train_natural_elm(bias_quantize(y_b, adc), x_b, gamma)
-        # frame payload
-        labels_d = QAM16.random_labels(sym_rng, (ad.frame_data_len, K))
-        y_d = transmit(Hf, QAM16.symbols(labels_d), sigma2, noise_rng,
-                       cfg.saleh)
-        r_d = bias_quantize(y_d, adc)
-        for name, w in (("oselm", oselm_weights(recv)),
-                        ("retrain-benchmark", bench_w),
-                        ("frozen", frozen_w)):
-            det = detect_natural_elm(w, r_d)
-            _count_errors(counts, (name, snr_db, f), labels_d, det,
-                          cfg.per_user)
-    return counts
+        # frame payload, sent whole: chunking it would change the order
+        # of the noise draws
+        labels, _, y = t.send(ad.frame_data_len)
+        r = bias_quantize(y, adc)
+        for name, w in zip(ADAPTIVE_VARIANTS,
+                           (oselm_weights(recv), bench_w, frozen_w)):
+            t.detect_and_count((name, snr_db, f), detect_natural_elm, w, r,
+                               labels)
+    return t.counts
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +497,8 @@ def _trial_pool(workers: int, blas_threads: int) -> ProcessPoolExecutor:
                                initargs=(blas_threads,))
 
 
-def _run_trials(worker, cfg: ExperimentConfig, n_jobs: int):
+def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
+    """Run every trial and merge their counts into sorted records."""
     if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
             or n_jobs < 1):
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
@@ -588,35 +514,29 @@ def _run_trials(worker, cfg: ExperimentConfig, n_jobs: int):
         for key, (sym, err) in counts.items():
             s0, e0 = merged.get(key, (0, 0))
             merged[key] = (s0 + sym, e0 + err)
-    return merged
-
-
-def _records(experiment, merged, cfg, framed=False):
-    recs = []
-    for key in sorted(merged, key=lambda k: (str(k[0]),) + tuple(k[1:])):
-        sym, err = merged[key]
-        frame = key[2] if framed else -1
-        recs.append(SerRecord(experiment=experiment, receiver=key[0],
-                              snr_db=key[1], frame=frame, symbols=sym,
-                              errors=err, seed=cfg.master_seed))
-    return recs
+    # key = (receiver, snr_db) or, framed, (receiver, snr_db, frame)
+    return [SerRecord(experiment, key[0], key[1],
+                      key[2] if len(key) > 2 else -1, *merged[key],
+                      cfg.master_seed) for key in sorted(merged)]
 
 
 def run_ser_sweep(cfg: ExperimentConfig, n_jobs: int = 1):
     """Quasi-static SER-vs-SNR sweep over the configured receivers."""
-    merged = _run_trials(_trial_ser_sweep, cfg, n_jobs)
-    return _records("ser-sweep", merged, cfg)
+    return _run_trials("ser-sweep", partial(_trial_quasi_static, _sweep_arms),
+                       cfg, n_jobs)
 
 
 def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     """Four-system comparison isolating the effect of biasing and
-    quantization (the unquantized arms keep the analog clipping range)."""
-    merged = _run_trials(_trial_bias_ablation, cfg, n_jobs)
-    return _records("bias-ablation", merged, cfg)
+    quantization (the unquantized arms keep the analog clipping range).
+    The ablation always quantizes: an ideal converter becomes 6 bits."""
+    if cfg.adc_bits is None:
+        cfg = replace(cfg, adc_bits=6)
+    worker = partial(_trial_quasi_static, _ablation_arms)
+    return _run_trials("bias-ablation", worker, cfg, n_jobs)
 
 
 def run_adaptive(cfg: ExperimentConfig, n_jobs: int = 1):
     """Per-frame SER of the OSELM tracker, a per-frame batch-retrained
     benchmark, and a frozen receiver over a time-varying channel."""
-    merged = _run_trials(_trial_adaptive, cfg, n_jobs)
-    return _records("adaptive", merged, cfg, framed=True)
+    return _run_trials("adaptive", _trial_adaptive, cfg, n_jobs)

@@ -1,9 +1,11 @@
 """Tests for experiment orchestration: configs, determinism, CSV output,
 and sanity properties of the three experiment runners."""
 import ctypes
+import inspect
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -391,3 +393,142 @@ def test_cli_rejects_non_integer_parallel(tmp_path, capsys):
 
 def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# config schema and types
+
+
+# the on-disk schema of desk_config(), written out: saved configs in this
+# form must keep loading, and the writer must keep producing it
+DESK_DICT = {
+    "channel": {"n_antennas": 64, "n_users": 10, "carrier_hz": 2e9,
+                "symbol_duration_s": 1e-06, "angular_spread_deg": 10.0,
+                "n_rays": 5, "velocity_mps": 0.0,
+                "mean_aoa_range_rad": [-1.5707963267948966,
+                                       1.5707963267948966]},
+    "saleh": {"alpha_a": 1.96, "eps_a": 0.99, "alpha_phi": 2.53,
+              "eps_phi": 2.82},
+    "adc": {"bits": 6, "headroom": 3.0, "bias_scale": 0.1},
+    "snr_db_list": [0.0, 5.0, 10.0, 15.0, 20.0],
+    "training_len": 3000, "payload_len": 20000, "preamble_len": 500,
+    "receivers": ["natural-elm", "borrowed-elm", "trained-zf", "zf", "mmse"],
+    "gamma": {"natural-elm": 1.0, "borrowed-elm": 1.0, "trained-zf": 1.0,
+              "oselm": 1.0},
+    "borrowed_hidden": 512,
+    "adaptive": {"init_len": 3000, "frame_training_len": 300,
+                 "frame_data_len": 1700, "forgetting": 0.98, "n_frames": 10,
+                 "benchmark_training_len": 3000},
+    "trials": 1, "master_seed": 0, "per_user": False,
+    "snr_reference": "post-pa",
+}
+PAPER_DICT = {**DESK_DICT, "channel": {**DESK_DICT["channel"],
+                                       "n_antennas": 256}}
+
+
+@pytest.mark.parametrize("make, expected", [(desk_config, DESK_DICT),
+                                            (paper_config, PAPER_DICT)])
+def test_config_schema_unchanged(tmp_path, make, expected):
+    assert config_to_dict(make()) == expected
+    # a file in the established format (json.dump, indent 2, final
+    # newline, keys in schema order) loads and is written back unchanged
+    text = json.dumps(expected, indent=2) + "\n"
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert load_config(path) == make()
+    save_config(make(), path)
+    assert path.read_text() == text
+
+
+def test_public_names_unchanged():
+    assert ALL_RECEIVERS == ("natural-elm", "borrowed-elm", "trained-zf",
+                             "zf", "mmse")
+    assert ABLATION_SYSTEMS == ("trained-zf-unquantized",
+                                "trained-zf-unquantized-biased",
+                                "trained-zf-quantized", "natural-elm")
+    assert harness.ADAPTIVE_VARIANTS == ("oselm", "retrain-benchmark",
+                                         "frozen")
+    for run in (run_ser_sweep, run_bias_ablation, run_adaptive):
+        params = inspect.signature(run).parameters
+        assert list(params) == ["cfg", "n_jobs"]
+        assert params["n_jobs"].default == 1
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"trials": "3"}, "trials"),
+    ({"trials": 3.0}, "trials"),
+    ({"master_seed": True}, "master_seed"),
+    ({"channel": [1]}, "channel"),
+    ({"channel": {"n_antennas": 8.5}}, "channel.n_antennas"),
+    ({"channel": {"mean_aoa_range_rad": 1.0}}, "channel.mean_aoa_range_rad"),
+    ({"snr_db_list": 5}, "snr_db_list"),
+    ({"snr_db_list": [10, "20"]}, "snr_db_list"),
+    ({"receivers": "zf"}, "receivers"),
+    ({"adaptive": 3}, "adaptive"),
+    ({"adaptive": {"forgetting": "0.9"}}, "adaptive.forgetting"),
+    ({"saleh": 1}, "saleh"),
+    ({"saleh": {"alpha_a": None}}, "saleh.alpha_a"),
+    ({"adc": 6}, "adc"),
+    ({"adc": {"bits": "6"}}, "adc.bits"),
+    ({"adc": {"headroom": [3]}}, "adc.headroom"),
+    ({"per_user": "yes"}, "per_user"),
+    ({"per_user": 1}, "per_user"),
+    ({"snr_reference": 0}, "snr_reference"),
+    ({"gamma": "x"}, "gamma"),
+    ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
+])
+def test_config_wrong_type_names_key(data, key):
+    with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
+        config_from_dict(data)
+
+
+def test_config_root_must_be_object():
+    with pytest.raises(ValueError, match="root"):
+        config_from_dict([1])
+
+
+def test_cli_rejects_wrong_typed_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": "3"}))
+    out = tmp_path / "o.csv"
+    rc = cli.main(["ser-sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'trials'" in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# receivers as data
+
+
+def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
+    # the receiver table and the trial helpers look functions up in the
+    # harness module when called, so a replacement installed there (as a
+    # tracer does) sees every call; one quantizer call per block and
+    # converter serves all receivers that read it
+    expected = {  # sweep + ablation + adaptive, one block each
+        "transmit": 3 + 3 + 4, "bias_quantize": 2 + 8 + 4,
+        "quantize_iq": 2, "calibrate_adc": 1 + 1 + 1,
+        "train_natural_elm": 1 + 4 + 1, "train_zf_direct": 1,
+        "train_borrowed_elm": 1, "detect_natural_elm": 2 + 4 + 3,
+        "detect_borrowed_elm": 1, "detect_linear": 2, "zf_weights": 1,
+        "mmse_weights": 1, "oselm_update": 1}
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(harness, name,
+                            counting(name, getattr(harness, name)))
+    cfg = _small_config(trials=1, payload_len=400, snr_db_list=(10.0,))
+    run_ser_sweep(cfg)
+    run_bias_ablation(cfg)
+    run_adaptive(replace(cfg, adaptive=AdaptiveConfig(
+        init_len=300, frame_training_len=20, frame_data_len=50,
+        benchmark_training_len=300, n_frames=1)))
+    assert calls == expected
