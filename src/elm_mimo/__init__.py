@@ -8,7 +8,7 @@ five receivers, and provides a Monte Carlo harness for SER experiments.
 from .core import (RlsState, real_composite, real_stack, ridge_solve,
                    rls_init, rls_step)
 from .channel import (ChannelConfig, ChannelProcess, draw_process, realize,
-                      realize_block, steering_vector)
+                      steering_vector)
 from .frontend import (QAM16, AdcConfig, Qam16, SalehParams, attach_biases,
                        bias_quantize, calibrate_adc, draw_biases, ideal_adc,
                        pa_distort, quantize, quantize_iq, signal_power,

@@ -19,7 +19,6 @@ __all__ = [
     "steering_vector",
     "draw_process",
     "realize",
-    "realize_block",
 ]
 
 
@@ -45,15 +44,22 @@ class ChannelConfig:
             raise ValueError("angular_spread_deg must be positive")
         if self.velocity_mps < 0:
             raise ValueError("velocity_mps must be nonnegative")
+        if len(self.mean_aoa_range_rad) != 2:
+            raise ValueError("channel.mean_aoa_range_rad must hold two "
+                             f"values, got {list(self.mean_aoa_range_rad)}")
 
     @property
     def doppler_hz(self) -> float:
         return self.velocity_mps * self.carrier_hz / SPEED_OF_LIGHT
 
 
-def steering_vector(theta: float, n_antennas: int) -> np.ndarray:
-    """ULA response at half-wavelength spacing: exp(-j pi n sin(theta))."""
-    n = np.arange(n_antennas)
+def steering_vector(theta, n_antennas: int) -> np.ndarray:
+    """ULA response at half-wavelength spacing: exp(-j pi n sin(theta)).
+
+    theta is an angle or an array of angles; the antenna index n is the
+    first axis of the result, shape (n_antennas, *theta.shape).
+    """
+    n = np.arange(n_antennas).reshape((-1,) + (1,) * np.ndim(theta))
     return np.exp(-1j * np.pi * n * np.sin(theta))
 
 
@@ -86,7 +92,7 @@ def _truncated_laplacian(rng: np.random.Generator, scale: float,
 def draw_process(cfg: ChannelConfig, rng_seed) -> ChannelProcess:
     """Draw a channel process; bitwise deterministic for a given seed."""
     rng = np.random.default_rng(rng_seed)
-    K, R, N = cfg.n_users, cfg.n_rays, cfg.n_antennas
+    K, R = cfg.n_users, cfg.n_rays
     lo, hi = cfg.mean_aoa_range_rad
     mean_aoa = rng.uniform(lo, hi, K)
     spread_rad = np.deg2rad(cfg.angular_spread_deg)
@@ -96,10 +102,9 @@ def draw_process(cfg: ChannelConfig, rng_seed) -> ChannelProcess:
     gains = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (K, R))) / np.sqrt(R)
     psi = rng.uniform(0.0, 2 * np.pi, (K, R))
     dopplers = cfg.doppler_hz * np.cos(psi)
-    n = np.arange(N)[:, None, None]
-    steering = np.exp(-1j * np.pi * n * np.sin(aoas)[None, :, :])
     return ChannelProcess(config=cfg, mean_aoa=mean_aoa, aoas=aoas,
-                          gains=gains, dopplers=dopplers, steering=steering)
+                          gains=gains, dopplers=dopplers,
+                          steering=steering_vector(aoas, cfg.n_antennas))
 
 
 def realize(proc: ChannelProcess, m: int) -> np.ndarray:
@@ -107,12 +112,3 @@ def realize(proc: ChannelProcess, m: int) -> np.ndarray:
     t = m * proc.config.symbol_duration_s
     rot = proc.gains * np.exp(2j * np.pi * proc.dopplers * t)
     return np.einsum("nkr,kr->nk", proc.steering, rot)
-
-
-def realize_block(proc: ChannelProcess, m0: int, count: int) -> np.ndarray:
-    """H(m) for m in [m0, m0 + count), shape (count, N, K)."""
-    ts = proc.config.symbol_duration_s
-    t = (m0 + np.arange(count)) * ts
-    rot = proc.gains[None] * np.exp(
-        2j * np.pi * proc.dopplers[None] * t[:, None, None])
-    return np.einsum("nkr,mkr->mnk", proc.steering, rot)

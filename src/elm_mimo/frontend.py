@@ -44,7 +44,6 @@ class Qam16:
     """
 
     order = 16
-    bits_per_symbol = 4
     # half of the minimum distance 2/sqrt(10)
     half_min_distance = 1.0 / np.sqrt(10.0)
 
@@ -56,14 +55,6 @@ class Qam16:
             pts[label] = (i + 1j * q) / np.sqrt(10.0)
         self.points = pts
         self.points.setflags(write=False)
-
-    def modulate_bits(self, bits) -> np.ndarray:
-        bits = np.asarray(bits, dtype=int).ravel()
-        if bits.size % 4 != 0:
-            raise ValueError("bit count must be a multiple of 4")
-        groups = bits.reshape(-1, 4)
-        labels = groups[:, 0] * 8 + groups[:, 1] * 4 + groups[:, 2] * 2 + groups[:, 3]
-        return self.points[labels]
 
     def symbols(self, labels) -> np.ndarray:
         return self.points[np.asarray(labels, dtype=int)]
@@ -105,9 +96,9 @@ def pa_distort(x, p: SalehParams):
     return amp * np.exp(1j * (np.angle(x) + phase))
 
 
-def signal_power(saleh: SalehParams | None, qam: Qam16 = QAM16) -> float:
+def signal_power(saleh: SalehParams | None) -> float:
     """Per-user transmitted power: mean |f(c)|^2 over the constellation."""
-    pts = qam.points
+    pts = QAM16.points
     s = pa_distort(pts, saleh) if saleh is not None else pts
     return float(np.mean(np.abs(s) ** 2))
 

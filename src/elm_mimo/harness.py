@@ -116,6 +116,17 @@ class ExperimentConfig:
         bad = set(self.receivers) - set(ALL_RECEIVERS)
         if bad:
             raise ValueError(f"unknown receivers: {sorted(bad)}")
+        if not 0 < len(self.receivers) == len(set(self.receivers)):
+            raise ValueError("receivers must be non-empty and name each "
+                             f"receiver once, got {list(self.receivers)}")
+        if self.adc_bits is not None and self.adc_bits < 1:
+            raise ValueError(f"adc.bits must be >= 1, got {self.adc_bits}")
+        if not (self.adc_headroom > 0 and np.isfinite(self.adc_headroom)):
+            raise ValueError("adc.headroom must be positive and finite, "
+                             f"got {self.adc_headroom}")
+        if not (self.bias_scale >= 0 and np.isfinite(self.bias_scale)):
+            raise ValueError("adc.bias_scale must be >= 0 and finite, "
+                             f"got {self.bias_scale}")
         if self.snr_reference not in ("post-pa", "pre-pa"):
             raise ValueError("snr_reference must be 'post-pa' or 'pre-pa'")
 
@@ -192,9 +203,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key, value in data.items():
         if key == "saleh" and value == "bypass":
             kwargs["saleh"] = None
-        elif key == "adc" and value == "ideal":
-            kwargs["adc_bits"] = None
         elif key == "adc":
+            # "ideal" is short for {"bits": null}, the unquantized converter
+            if value == "ideal":
+                value = {"bits": None}
+            if isinstance(value, dict) and value.get("bits", 0) is None:
+                value = {k: v for k, v in value.items() if k != "bits"}
+                kwargs["adc_bits"] = None
             adc = _typed(value, defaults["adc"], "adc")
             kwargs.update((_ADC_FIELDS[k], v) for k, v in adc.items())
         elif key == "gamma" and not isinstance(value, dict):
@@ -213,8 +228,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         if key == "saleh" and value is None:
             data["saleh"] = "bypass"
         elif key == "adc_bits":
-            data["adc"] = "ideal" if value is None else {
-                k: getattr(cfg, name) for k, name in _ADC_FIELDS.items()}
+            data["adc"] = {k: getattr(cfg, name)
+                           for k, name in _ADC_FIELDS.items()}
         elif key not in _ADC_FIELDS.values():
             data[key] = value
     return data

@@ -15,7 +15,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
 from .core import RlsState, real_stack, ridge_solve, rls_init, rls_step
-from .frontend import Qam16, QAM16
+from .frontend import QAM16
 
 __all__ = [
     "RealImagWeights",
@@ -49,10 +49,6 @@ class RealImagWeights:
     beta_re: np.ndarray
     beta_im: np.ndarray
     gamma: float
-
-    @property
-    def n_users(self) -> int:
-        return self.beta_re.shape[1]
 
 
 def _train_separated(R: np.ndarray, X: np.ndarray, gamma: float) -> RealImagWeights:
@@ -90,9 +86,8 @@ def elm_estimate(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
     return est[..., :K] + 1j * est[..., K:]
 
 
-def detect_natural_elm(w: RealImagWeights, r: np.ndarray,
-                       qam: Qam16 = QAM16) -> np.ndarray:
-    return qam.demap(elm_estimate(w, r))
+def detect_natural_elm(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
+    return QAM16.demap(elm_estimate(w, r))
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,9 @@ def mmse_weights(H: np.ndarray, snr: float) -> LinearCombinerWeights:
     return LinearCombinerWeights(W=cho_solve(c, H.conj().T))
 
 
-def detect_linear(w: LinearCombinerWeights, r: np.ndarray,
-                  qam: Qam16 = QAM16) -> np.ndarray:
+def detect_linear(w: LinearCombinerWeights, r: np.ndarray) -> np.ndarray:
     """Apply the combiner to complex observations r ((N,) or (M, N))."""
-    return qam.demap(r @ w.W.T)
+    return QAM16.demap(r @ w.W.T)
 
 
 @dataclass(frozen=True)
@@ -140,10 +134,6 @@ class BorrowedElmModel:
     input_weights: np.ndarray   # (L, 2N)
     biases: np.ndarray          # (L,)
     out: RealImagWeights
-
-    @property
-    def hidden_size(self) -> int:
-        return self.input_weights.shape[0]
 
 
 def _hidden(model_w: np.ndarray, model_b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -169,9 +159,8 @@ def borrowed_estimate(model: BorrowedElmModel, r: np.ndarray) -> np.ndarray:
     return elm_estimate(model.out, _hidden(model.input_weights, model.biases, r))
 
 
-def detect_borrowed_elm(model: BorrowedElmModel, r: np.ndarray,
-                        qam: Qam16 = QAM16) -> np.ndarray:
-    return qam.demap(borrowed_estimate(model, r))
+def detect_borrowed_elm(model: BorrowedElmModel, r: np.ndarray) -> np.ndarray:
+    return QAM16.demap(borrowed_estimate(model, r))
 
 
 @dataclass

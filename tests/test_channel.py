@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from elm_mimo.channel import (ChannelConfig, draw_process, realize,
-                              realize_block, steering_vector)
+                              steering_vector)
 
 KMH_100 = 100.0 / 3.6
 
@@ -19,6 +19,15 @@ def test_steering_endfire():
 def test_steering_unit_modulus():
     for theta in (-1.2, -0.3, 0.7, 1.5):
         assert np.allclose(np.abs(steering_vector(theta, 32)), 1.0)
+
+
+def test_steering_array_of_angles_stacks_scalar_calls():
+    theta = np.random.default_rng(0).uniform(-np.pi / 2, np.pi / 2, (3, 4))
+    a = steering_vector(theta, 8)
+    assert a.shape == (8, 3, 4)
+    for k, r in np.ndindex(theta.shape):
+        assert np.allclose(a[:, k, r], steering_vector(theta[k, r], 8),
+                           rtol=0, atol=1e-15)
 
 
 def test_config_validation():
@@ -92,15 +101,6 @@ def test_entry_power_near_unity():
         acc += np.sum(np.abs(H) ** 2)
         count += H.size
     assert 0.95 <= acc / count <= 1.05
-
-
-def test_realize_block_matches_realize():
-    cfg = ChannelConfig(n_antennas=8, n_users=2, velocity_mps=KMH_100)
-    proc = draw_process(cfg, 7)
-    block = realize_block(proc, 100, 5)
-    assert block.shape == (5, 8, 2)
-    for i in range(5):
-        assert np.allclose(block[i], realize(proc, 100 + i), atol=1e-12)
 
 
 def test_autocorrelation_non_increasing_at_short_lags():

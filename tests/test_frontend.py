@@ -28,20 +28,6 @@ def test_gray_mapping_adjacent_levels():
         assert bin(level_bits[a] ^ level_bits[b]).count("1") == 1
 
 
-def test_modulate_bits_roundtrip():
-    rng = np.random.default_rng(0)
-    bits = rng.integers(0, 2, 400)
-    x = QAM16.modulate_bits(bits)
-    labels = QAM16.demap(x)
-    again = QAM16.symbols(labels)
-    assert np.allclose(again, x)
-
-
-def test_modulate_bits_rejects_partial_symbol():
-    with pytest.raises(ValueError):
-        QAM16.modulate_bits([0, 1, 1])
-
-
 def test_demap_exact_points():
     labels = np.arange(16)
     assert np.array_equal(QAM16.demap(QAM16.points), labels)

@@ -10,9 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elm_mimo import cli, harness
 from elm_mimo.channel import ChannelConfig
+from elm_mimo.frontend import SalehParams
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
                               AdaptiveConfig, ExperimentConfig, config_from_dict,
                               config_to_dict, desk_config, load_config,
@@ -38,6 +40,10 @@ def test_config_validation():
         ExperimentConfig(snr_db_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(receivers=("zf", "bogus"))
+    with pytest.raises(ValueError, match="receivers"):
+        ExperimentConfig(receivers=("zf", "zf"))
+    with pytest.raises(ValueError, match="receivers"):
+        ExperimentConfig(receivers=())
     with pytest.raises(ValueError):
         ExperimentConfig(training_len=0)
     with pytest.raises(ValueError):
@@ -54,6 +60,14 @@ def test_config_round_trip():
 
 def test_config_file_round_trip(tmp_path):
     cfg = _small_config()
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+def test_ideal_converter_config_file_keeps_bias_and_headroom(tmp_path):
+    # the bias and the ablation's full scale apply without a quantizer too
+    cfg = _small_config(adc_bits=None, bias_scale=0.0, adc_headroom=2.0)
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -84,6 +98,8 @@ def test_config_special_forms():
     assert cfg.adc_bits is None
     assert cfg.gamma_for("natural-elm") == 0.5
     assert cfg.gamma_for("oselm") == 0.5
+    ideal = config_from_dict({"adc": {"bits": None, "bias_scale": 0.0}})
+    assert ideal.adc_bits is None and ideal.bias_scale == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +407,12 @@ def test_cli_rejects_non_integer_parallel(tmp_path, capsys):
     assert "--parallel" in capsys.readouterr().err
 
 
-def test_cli_selftest():
-    assert cli.main(["selftest"]) == 0
+def test_cli_rejects_repeated_receiver(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc = cli.main(["ser-sweep", "--receivers", "zf,zf", "--out", str(out)])
+    assert rc == 2
+    assert "receivers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +499,108 @@ def test_public_names_unchanged():
 ])
 def test_config_wrong_type_names_key(data, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
+        config_from_dict(data)
+
+
+# one out-of-range value per range-checked key
+OUT_OF_RANGE = [
+    ({"adc": {"bits": 0}}, "adc.bits"),
+    ({"adc": {"headroom": -1.0}}, "adc.headroom"),
+    ({"adc": {"bias_scale": -0.1}}, "adc.bias_scale"),
+    ({"channel": {"mean_aoa_range_rad": [0.0, 1.0, 2.0]}},
+     "channel.mean_aoa_range_rad"),
+    ({"receivers": ["zf", "zf"]}, "receivers"),
+    ({"receivers": []}, "receivers"),
+]
+
+
+@pytest.mark.parametrize("data, key", OUT_OF_RANGE)
+def test_out_of_range_config_names_key(tmp_path, capsys, data, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        config_from_dict(data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    rc = cli.main(["ser-sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_channels = st.integers(1, 8).flatmap(lambda k: st.builds(
+    ChannelConfig, n_antennas=st.integers(k, 64), n_users=st.just(k),
+    carrier_hz=_finite(1.0, 1e11), symbol_duration_s=_finite(1e-9, 1.0),
+    angular_spread_deg=_finite(1e-3, 90.0), n_rays=st.integers(1, 16),
+    velocity_mps=_finite(0.0, 1e3),
+    mean_aoa_range_rad=st.tuples(_finite(-4.0, 4.0), _finite(-4.0, 4.0))))
+
+_configs = st.builds(
+    ExperimentConfig,
+    channel=_channels,
+    saleh=st.none() | st.builds(SalehParams, alpha_a=_finite(0.0, 10.0),
+                                eps_a=_finite(1e-3, 10.0),
+                                alpha_phi=_finite(0.0, 10.0),
+                                eps_phi=_finite(1e-3, 10.0)),
+    adc_bits=st.none() | st.integers(1, 16),
+    adc_headroom=_finite(1e-3, 100.0),
+    bias_scale=_finite(0.0, 10.0),
+    snr_db_list=st.lists(_finite(-30.0, 60.0), min_size=1,
+                         max_size=6).map(tuple),
+    training_len=st.integers(1, 10**6),
+    payload_len=st.integers(1, 10**6),
+    preamble_len=st.integers(1, 10**6),
+    receivers=st.permutations(ALL_RECEIVERS).flatmap(
+        lambda names: st.integers(1, len(names)).map(
+            lambda n: tuple(names[:n]))),
+    gamma=st.dictionaries(
+        st.sampled_from(("natural-elm", "borrowed-elm", "trained-zf",
+                         "oselm")), _finite(0.0, 1e3)),
+    borrowed_hidden=st.integers(1, 4096),
+    adaptive=st.builds(AdaptiveConfig, init_len=st.integers(1, 10**5),
+                       frame_training_len=st.integers(1, 10**5),
+                       frame_data_len=st.integers(1, 10**5),
+                       forgetting=_finite(1e-3, 1.0),
+                       n_frames=st.integers(1, 100),
+                       benchmark_training_len=st.integers(1, 10**5)),
+    trials=st.integers(1, 100),
+    master_seed=st.integers(0, 2**32 - 1),
+    per_user=st.booleans(),
+    snr_reference=st.sampled_from(("post-pa", "pre-pa")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs)
+def test_config_round_trip_property(cfg):
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # and through the JSON text a config file holds
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+_out_of_range = st.one_of(
+    st.integers(max_value=0).map(lambda v: ({"adc": {"bits": v}},
+                                            "adc.bits")),
+    (st.floats(max_value=0.0) | st.sampled_from((math.inf, math.nan))).map(
+        lambda v: ({"adc": {"headroom": v}}, "adc.headroom")),
+    (st.floats(max_value=0.0, exclude_max=True)
+     | st.sampled_from((math.inf, math.nan))).map(
+        lambda v: ({"adc": {"bias_scale": v}}, "adc.bias_scale")),
+    st.lists(_finite(-4.0, 4.0)).filter(lambda v: len(v) != 2).map(
+        lambda v: ({"channel": {"mean_aoa_range_rad": v}},
+                   "channel.mean_aoa_range_rad")),
+    st.lists(st.sampled_from(ALL_RECEIVERS)).filter(
+        lambda v: not 0 < len(v) == len(set(v))).map(
+        lambda v: ({"receivers": v}, "receivers")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_out_of_range)
+def test_config_out_of_range_property(case):
+    data, key = case
+    with pytest.raises(ValueError, match=re.escape(key)):
         config_from_dict(data)
 
 
