@@ -133,8 +133,12 @@ def rls_step(state: RlsState, r: np.ndarray, t: np.ndarray) -> RlsState:
     q = Pr / denom
     e = t - beta.T @ r
     beta_new = beta + np.outer(q, e)
-    P_new = (P - np.outer(q, Pr)) / lam
-    P_new = 0.5 * (P_new + P_new.T)
+    # one (L, L) buffer for (P - q Pr^T) / lam; P itself is never written
+    X = np.outer(q, Pr)
+    np.subtract(P, X, out=X)
+    X /= lam
+    P_new = X + X.T
+    P_new *= 0.5
     if not (np.isfinite(P_new).all() and np.isfinite(beta_new).all()):
         raise FloatingPointError(
             "RLS update produced non-finite values; the forgetting factor "

@@ -30,8 +30,19 @@ __all__ = [
 
 
 # Per-dimension Gray code for 2 bits: adjacent amplitude levels differ
-# in exactly one bit.
+# in exactly one bit.  _GRAY_CODES lists the codes in level order.
 _GRAY_LEVELS = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+_GRAY_CODES = np.array(sorted(_GRAY_LEVELS, key=_GRAY_LEVELS.get))
+
+
+def _slice_gray(a):
+    """Gray code of the nearest level to each coordinate; on a boundary
+    (-2, 0, 2 times 1/sqrt(10)) the smaller of the two codes wins."""
+    v = a * np.sqrt(10.0)
+    level = (v > -2).astype(np.uint8)
+    level += v > 0
+    level += v >= 2
+    return _GRAY_CODES.take(level)
 
 
 class Qam16:
@@ -60,10 +71,10 @@ class Qam16:
         return self.points[np.asarray(labels, dtype=int)]
 
     def demap(self, x) -> np.ndarray:
-        """Nearest-point labels for x of any shape (first index wins ties)."""
+        """Nearest-point labels for x of any shape, sliced per axis;
+        ties break toward the smallest label."""
         x = np.asarray(x)
-        d = np.abs(x[..., None] - self.points) ** 2
-        return np.argmin(d, axis=-1)
+        return _slice_gray(x.real) << 2 | _slice_gray(x.imag)
 
     def random_labels(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.order, shape)

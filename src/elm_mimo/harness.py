@@ -127,6 +127,13 @@ class ExperimentConfig:
         if not (self.bias_scale >= 0 and np.isfinite(self.bias_scale)):
             raise ValueError("adc.bias_scale must be >= 0 and finite, "
                              f"got {self.bias_scale}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0, "
+                             f"got {self.master_seed}")
+        for name, g in self.gamma.items():
+            if not (g >= 0 and np.isfinite(g)):
+                raise ValueError(f"gamma.{name} must be >= 0 and finite, "
+                                 f"got {g}")
         if self.snr_reference not in ("post-pa", "pre-pa"):
             raise ValueError("snr_reference must be 'post-pa' or 'pre-pa'")
 

@@ -137,7 +137,9 @@ class BorrowedElmModel:
 
 
 def _hidden(model_w: np.ndarray, model_b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return expit(r @ model_w.T + model_b)
+    z = r @ model_w.T
+    z += model_b
+    return expit(z, out=z)
 
 
 def train_borrowed_elm(R: np.ndarray, X_train: np.ndarray, gamma: float,

@@ -168,6 +168,25 @@ def test_rls_p_stays_symmetric_positive_definite():
         assert np.linalg.eigvalsh(st.P).min() > 0
 
 
+def test_rls_step_leaves_input_state_unmodified_and_matches_formula():
+    rng = np.random.default_rng(10)
+    st = rls_init(rng.standard_normal((40, 8)),
+                  rng.standard_normal((40, 3)), 0.1, 0.98)
+    for _ in range(50):
+        P0, beta0 = st.P.copy(), st.beta.copy()
+        r, t = rng.standard_normal(8), rng.standard_normal(3)
+        new = rls_step(st, r, t)
+        assert np.array_equal(st.P, P0) and np.array_equal(st.beta, beta0)
+        # the docstring's update, written out with fresh temporaries
+        Pr = st.P @ r
+        q = Pr / (st.lam + r @ Pr)
+        P_ref = (st.P - np.outer(q, Pr)) / st.lam
+        assert np.array_equal(new.P, 0.5 * (P_ref + P_ref.T))
+        assert np.array_equal(new.beta,
+                              st.beta + np.outer(q, t - st.beta.T @ r))
+        st = new
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rls_blowup_raises():
     st = RlsState(P=np.array([[np.finfo(float).max / 4]]),

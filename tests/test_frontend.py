@@ -2,6 +2,7 @@
 16-QAM mapping, the Saleh amplifier, AWGN, and the biased mid-rise ADC."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, attach_biases,
                                bias_quantize, calibrate_adc, draw_biases,
@@ -47,6 +48,74 @@ def test_demap_tie_break_lowest_label():
     d = np.abs(QAM16.points - 0.0)
     candidates = np.flatnonzero(d == d.min())
     assert QAM16.demap(np.array(0.0 + 0.0j)) == candidates.min()
+
+
+def _argmin_demap(x):
+    """Oracle: the 16-way nearest-point search, first index on ties."""
+    x = np.asarray(x)
+    return np.argmin(np.abs(x[..., None] - QAM16.points) ** 2, axis=-1)
+
+
+SCALE = np.sqrt(10.0)
+BOUNDARIES = (-2.0, 0.0, 2.0)   # decision boundaries in units of 1/sqrt(10)
+
+
+def test_demap_exact_ties_take_smallest_label():
+    # every mix of boundaries and levels on the two axes; the equidistant
+    # points come from exact integer distances on the unscaled grid
+    coords = (-3, -2, -1, 0, 1, 2, 3)
+    grid = [(round(p.real * SCALE), round(p.imag * SCALE))
+            for p in QAM16.points]
+    for u in coords:
+        for w in coords:
+            assert (u / SCALE) * SCALE == u and (w / SCALE) * SCALE == w
+            d = [(u - i) ** 2 + (w - q) ** 2 for i, q in grid]
+            want = d.index(min(d))
+            assert QAM16.demap(complex(u / SCALE, w / SCALE)) == want, (u, w)
+
+
+def _clear_of_boundaries(a):
+    return all(abs(a * SCALE - b) > 1e-9 for b in BOUNDARIES)
+
+
+_coords = st.floats(-8.0, 8.0, allow_nan=False)
+_clear = st.lists(st.tuples(_coords.filter(_clear_of_boundaries),
+                            _coords.filter(_clear_of_boundaries)),
+                  min_size=1, max_size=40)
+# coordinates on or within a few ulps of a boundary, or anywhere
+_near = st.builds(lambda b, e: b / SCALE + e, st.sampled_from(BOUNDARIES),
+                  st.floats(-1e-12, 1e-12)) | _coords
+_any = st.lists(st.tuples(_near, _near), min_size=1, max_size=40)
+
+
+def _complex(pairs):
+    return np.array([complex(i, q) for i, q in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clear)
+def test_demap_equals_argmin_off_boundaries(pairs):
+    x = _complex(pairs)
+    assert np.array_equal(QAM16.demap(x), _argmin_demap(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any)
+def test_demap_picks_a_nearest_point(pairs):
+    # near a boundary the argmin's answer depends on how the other axis's
+    # distance rounds, so only the distance itself is compared
+    x = _complex(pairs)
+    d = np.abs(x[:, None] - QAM16.points) ** 2
+    chosen = d[np.arange(x.size), QAM16.demap(x)]
+    assert np.all(chosen <= d.min(axis=1) + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 3)])
+def test_demap_preserves_shape(shape):
+    x = np.random.default_rng(2).standard_normal(shape + (2,)) @ [1, 1j]
+    labels = QAM16.demap(x)
+    assert np.shape(labels) == shape
+    assert np.array_equal(labels, _argmin_demap(x))
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,14 @@ def test_cli_rejects_non_integer_parallel(tmp_path, capsys):
     assert "--parallel" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc = cli.main(["ser-sweep", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_repeated_receiver(tmp_path, capsys):
     out = tmp_path / "o.csv"
     rc = cli.main(["ser-sweep", "--receivers", "zf,zf", "--out", str(out)])
@@ -511,6 +519,10 @@ OUT_OF_RANGE = [
      "channel.mean_aoa_range_rad"),
     ({"receivers": ["zf", "zf"]}, "receivers"),
     ({"receivers": []}, "receivers"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"gamma": {"natural-elm": -1.0}}, "gamma.natural-elm"),
+    ({"gamma": {"oselm": math.nan}}, "gamma.oselm"),
+    ({"gamma": -1.0}, "gamma"),
 ]
 
 
@@ -580,6 +592,9 @@ def test_config_round_trip_property(cfg):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
+_bad_gamma = (st.floats(max_value=0.0, exclude_max=True)
+              | st.sampled_from((math.inf, math.nan)))
+
 _out_of_range = st.one_of(
     st.integers(max_value=0).map(lambda v: ({"adc": {"bits": v}},
                                             "adc.bits")),
@@ -593,7 +608,13 @@ _out_of_range = st.one_of(
                    "channel.mean_aoa_range_rad")),
     st.lists(st.sampled_from(ALL_RECEIVERS)).filter(
         lambda v: not 0 < len(v) == len(set(v))).map(
-        lambda v: ({"receivers": v}, "receivers")))
+        lambda v: ({"receivers": v}, "receivers")),
+    st.integers(max_value=-1).map(
+        lambda v: ({"master_seed": v}, "master_seed")),
+    st.tuples(st.sampled_from(("natural-elm", "borrowed-elm", "trained-zf",
+                               "oselm")), _bad_gamma).map(
+        lambda kv: ({"gamma": {kv[0]: kv[1]}}, f"gamma.{kv[0]}")),
+    _bad_gamma.map(lambda v: ({"gamma": v}, "gamma")))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for the five receivers and the adaptive (RLS-tracked) variant."""
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from elm_mimo.channel import ChannelConfig, draw_process, realize
 from elm_mimo.core import real_composite, real_stack
@@ -186,6 +187,22 @@ def test_borrowed_deterministic_given_seed():
     assert np.array_equal(m1.input_weights, m2.input_weights)
     assert np.array_equal(detect_borrowed_elm(m1, R),
                           detect_borrowed_elm(m2, R))
+
+
+@pytest.mark.parametrize("shape", [(6,), (25, 6)])
+def test_borrowed_estimate_in_place_layer_aliases_nothing(shape):
+    rng = np.random.default_rng(17)
+    R = rng.standard_normal((40, 6))
+    X = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+    m = train_borrowed_elm(R, X, 0.1, 16, rng)
+    W, b = m.input_weights.copy(), m.biases.copy()
+    r = rng.standard_normal(shape)
+    r0 = r.copy()
+    want = elm_estimate(m.out, expit(r @ W.T + b))
+    assert np.array_equal(borrowed_estimate(m, r), want)
+    assert np.array_equal(r, r0)
+    assert np.array_equal(m.input_weights, W)
+    assert np.array_equal(m.biases, b)
 
 
 def test_borrowed_rejects_empty_hidden_layer():
