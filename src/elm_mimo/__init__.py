@@ -14,8 +14,7 @@ from .frontend import (QAM16, AdcConfig, Qam16, SalehParams, attach_biases,
                        pa_distort, quantize, quantize_iq, signal_power,
                        transmit)
 from .receivers import (AdaptiveElmReceiver, BorrowedElmModel,
-                        LinearCombinerWeights, RealImagWeights,
-                        detect_borrowed_elm, detect_linear,
+                        RealImagWeights, detect_borrowed_elm, detect_linear,
                         detect_natural_elm, elm_estimate, mmse_weights,
                         oselm_init, oselm_update, oselm_weights,
                         train_borrowed_elm, train_natural_elm,

@@ -2,7 +2,9 @@
 
 Ridge-regularized least squares, the real-composite embedding of complex
 linear systems, and a recursive least-squares engine with exponential
-forgetting.  Everything operates on plain float64 / complex128 ndarrays.
+forgetting.  gram and factor are the package's one path to normal
+equations: every trained readout and both genie combiners go through
+them.  Everything operates on plain float64 / complex128 ndarrays.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
+    "gram",
+    "factor",
     "ridge_solve",
     "real_composite",
     "real_stack",
@@ -21,14 +25,20 @@ __all__ = [
 ]
 
 
-def _gram(Z: np.ndarray, gamma: float) -> np.ndarray:
-    G = Z.T @ Z
+def gram(Z: np.ndarray, gamma: float) -> np.ndarray:
+    """Regularized Gram matrix Z^H Z + gamma I of real or complex Z."""
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    G = Z.conj().T @ Z
     if gamma:
         G[np.diag_indices_from(G)] += gamma
     return G
 
 
-def _factor(G: np.ndarray, gamma: float):
+def factor(G: np.ndarray, gamma: float):
+    """Lower Cholesky factor of the normal-equation matrix G = gram(Z,
+    gamma), for cho_solve; a singular G raises ValueError instead of
+    falling back to a pseudo-inverse."""
     try:
         return cho_factor(G, lower=True)
     except LinAlgError as exc:
@@ -41,19 +51,14 @@ def _factor(G: np.ndarray, gamma: float):
 def ridge_solve(Z: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     """Minimize ||Z B - T||^2 + gamma ||B||^2 columnwise.
 
-    Solves the normal equations (Z^T Z + gamma I) B = Z^T T through a
-    Cholesky factorization.  With gamma = 0 the system must be
-    numerically positive definite; a singular system raises ValueError
-    instead of falling back to a pseudo-inverse.
+    Solves the normal equations (Z^T Z + gamma I) B = Z^T T through
+    :func:`gram` and :func:`factor`.
     """
     Z = np.asarray(Z, dtype=float)
     T = np.asarray(T, dtype=float)
     if Z.ndim != 2:
         raise ValueError("Z must be a 2-D matrix")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    c = _factor(_gram(Z, gamma), gamma)
-    return cho_solve(c, Z.T @ T)
+    return cho_solve(factor(gram(Z, gamma), gamma), Z.T @ T)
 
 
 def real_composite(H: np.ndarray) -> np.ndarray:
@@ -109,9 +114,7 @@ def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
     T0 = np.asarray(T0, dtype=float)
     if T0.ndim == 1:
         T0 = T0[:, None]
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    c = _factor(_gram(R0, gamma), gamma)
+    c = factor(gram(R0, gamma), gamma)
     L = R0.shape[1]
     P = cho_solve(c, np.eye(L))
     P = 0.5 * (P + P.T)

@@ -72,8 +72,11 @@ class Qam16:
 
     def demap(self, x) -> np.ndarray:
         """Nearest-point labels for x of any shape, sliced per axis;
-        ties break toward the smallest label."""
+        ties break toward the smallest label.  Non-finite x raises
+        ValueError: it has no nearest point."""
         x = np.asarray(x)
+        if not np.isfinite(x).all():
+            raise ValueError("cannot demap non-finite symbol estimates")
         return _slice_gray(x.real) << 2 | _slice_gray(x.imag)
 
     def random_labels(self, rng: np.random.Generator, shape) -> np.ndarray:

@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 ALL_RECEIVERS = ("natural-elm", "borrowed-elm", "trained-zf", "zf", "mmse")
+# the receivers with a ridge regularization gamma
+TRAINED = ("natural-elm", "borrowed-elm", "trained-zf", "oselm")
 
 CSV_HEADER = "experiment,receiver,snr_db,frame,symbols,errors,ser,seed"
 
@@ -97,8 +99,7 @@ class ExperimentConfig:
     payload_len: int = 20000
     preamble_len: int = 500
     receivers: tuple = ALL_RECEIVERS
-    gamma: dict = field(default_factory=lambda: dict.fromkeys(
-        ("natural-elm", "borrowed-elm", "trained-zf", "oselm"), 1.0))
+    gamma: dict = field(default_factory=lambda: dict.fromkeys(TRAINED, 1.0))
     borrowed_hidden: int = 512
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     trials: int = 1
@@ -107,8 +108,9 @@ class ExperimentConfig:
     snr_reference: str = "post-pa"
 
     def __post_init__(self):
-        if not self.snr_db_list:
-            raise ValueError("snr_db_list must be non-empty")
+        if not (self.snr_db_list and np.isfinite(self.snr_db_list).all()):
+            raise ValueError("snr_db_list must be non-empty and finite, "
+                             f"got {list(self.snr_db_list)}")
         for name in ("training_len", "payload_len", "preamble_len",
                      "trials", "borrowed_hidden"):
             if getattr(self, name) < 1:
@@ -130,7 +132,12 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0, "
                              f"got {self.master_seed}")
+        if not isinstance(self.gamma, dict):
+            raise ValueError("gamma must be a dict of receiver -> gamma, "
+                             f"got {self.gamma!r}")
         for name, g in self.gamma.items():
+            if name not in TRAINED:
+                raise ValueError(f"gamma.{name} is not one of {TRAINED}")
             if not (g >= 0 and np.isfinite(g)):
                 raise ValueError(f"gamma.{name} must be >= 0 and finite, "
                                  f"got {g}")

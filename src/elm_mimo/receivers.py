@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.special import expit
 
-from .core import RlsState, real_stack, ridge_solve, rls_init, rls_step
+from .core import (RlsState, factor, gram, real_stack, ridge_solve, rls_init,
+                   rls_step)
 from .frontend import QAM16
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "train_zf_direct",
     "elm_estimate",
     "detect_natural_elm",
-    "LinearCombinerWeights",
     "zf_weights",
     "mmse_weights",
     "detect_linear",
@@ -51,31 +51,27 @@ class RealImagWeights:
     gamma: float
 
 
-def _train_separated(R: np.ndarray, X: np.ndarray, gamma: float) -> RealImagWeights:
-    # one factorization of (R^T R + gamma I) serves both target blocks
-    T = np.concatenate([X.real, X.imag], axis=1)
-    B = ridge_solve(R, T, gamma)
-    K = X.shape[1]
+def _split(B: np.ndarray, gamma: float) -> RealImagWeights:
+    """Per-user weights from an (L, 2K) fit to [Re X | Im X]."""
+    K = B.shape[1] // 2
     return RealImagWeights(beta_re=B[:, :K], beta_im=B[:, K:], gamma=gamma)
 
 
 def train_natural_elm(R_prime: np.ndarray, X_train: np.ndarray,
                       gamma: float) -> RealImagWeights:
     """Fit output weights from biased-quantized stacks R' (M x 2N) to the
-    real and imaginary parts of the transmitted symbols X_train (M x K)."""
-    return _train_separated(np.asarray(R_prime, dtype=float), X_train, gamma)
+    real and imaginary parts of the transmitted symbols X_train (M x K);
+    one factorization serves both target blocks."""
+    return _split(ridge_solve(R_prime, real_stack(X_train), gamma), gamma)
 
 
 def train_zf_direct(R, X_train: np.ndarray, gamma: float) -> RealImagWeights:
-    """Trained ZF: same ridge fit, but from unbiased quantized observations.
-
-    R may be complex (M x N), in which case its real stack is used, or
-    already real (M x 2N).
-    """
+    """Trained ZF: the same ridge fit from unbiased quantized observations
+    R, complex (M x N) or already real-stacked (M x 2N)."""
     R = np.asarray(R)
     if np.iscomplexobj(R):
         R = real_stack(R)
-    return _train_separated(R, X_train, gamma)
+    return train_natural_elm(R, X_train, gamma)
 
 
 def elm_estimate(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
@@ -90,40 +86,27 @@ def detect_natural_elm(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
     return QAM16.demap(elm_estimate(w, r))
 
 
-@dataclass(frozen=True)
-class LinearCombinerWeights:
-    """Complex combiner W (K x N); row k recovers user k."""
-
-    W: np.ndarray
-
-
-def zf_weights(H: np.ndarray) -> LinearCombinerWeights:
-    """W = (H^H H)^-1 H^H; requires full column rank."""
+def zf_weights(H: np.ndarray) -> np.ndarray:
+    """Complex combiner W = (H^H H)^-1 H^H (K x N), row k recovering
+    user k; requires full column rank."""
     H = np.asarray(H, dtype=complex)
-    G = H.conj().T @ H
-    try:
-        c = cho_factor(G, lower=True)
-    except LinAlgError as exc:
-        raise ValueError("channel matrix is rank deficient") from exc
+    G = gram(H, 0.0)
     if np.linalg.cond(G) > 1e14:
         raise ValueError("channel matrix is rank deficient")
-    return LinearCombinerWeights(W=cho_solve(c, H.conj().T))
+    return cho_solve(factor(G, 0.0), H.conj().T)
 
 
-def mmse_weights(H: np.ndarray, snr: float) -> LinearCombinerWeights:
-    """W = (H^H H + I/SNR)^-1 H^H with SNR in linear units."""
+def mmse_weights(H: np.ndarray, snr: float) -> np.ndarray:
+    """Complex combiner W = (H^H H + I/SNR)^-1 H^H, SNR in linear units."""
     if snr <= 0:
         raise ValueError("snr must be positive")
-    H = np.asarray(H, dtype=complex)
-    G = H.conj().T @ H
-    G[np.diag_indices_from(G)] += 1.0 / snr
-    c = cho_factor(G, lower=True)
-    return LinearCombinerWeights(W=cho_solve(c, H.conj().T))
+    H, gamma = np.asarray(H, dtype=complex), 1.0 / snr
+    return cho_solve(factor(gram(H, gamma), gamma), H.conj().T)
 
 
-def detect_linear(w: LinearCombinerWeights, r: np.ndarray) -> np.ndarray:
+def detect_linear(W: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Apply the combiner to complex observations r ((N,) or (M, N))."""
-    return QAM16.demap(r @ w.W.T)
+    return QAM16.demap(r @ W.T)
 
 
 @dataclass(frozen=True)
@@ -152,8 +135,7 @@ def train_borrowed_elm(R: np.ndarray, X_train: np.ndarray, gamma: float,
         raise ValueError("hidden_size must be >= 1")
     W_in = rng.uniform(-weight_scale, weight_scale, (hidden_size, R.shape[1]))
     b = rng.uniform(-weight_scale, weight_scale, hidden_size)
-    Z = _hidden(W_in, b, R)
-    out = _train_separated(Z, X_train, gamma)
+    out = train_natural_elm(_hidden(W_in, b, R), X_train, gamma)
     return BorrowedElmModel(input_weights=W_in, biases=b, out=out)
 
 
@@ -171,15 +153,13 @@ class AdaptiveElmReceiver:
     outputs with 2K targets (real parts first, then imaginary)."""
 
     rls: RlsState
-    n_users: int
     gamma: float
 
 
 def oselm_init(R0: np.ndarray, X0: np.ndarray, gamma: float,
                lam: float) -> AdaptiveElmReceiver:
-    T0 = np.concatenate([X0.real, X0.imag], axis=1)
-    return AdaptiveElmReceiver(rls=rls_init(R0, T0, gamma, lam),
-                               n_users=X0.shape[1], gamma=gamma)
+    return AdaptiveElmReceiver(rls=rls_init(R0, real_stack(X0), gamma, lam),
+                               gamma=gamma)
 
 
 def oselm_update(recv: AdaptiveElmReceiver, R_chunk: np.ndarray,
@@ -187,15 +167,11 @@ def oselm_update(recv: AdaptiveElmReceiver, R_chunk: np.ndarray,
     """Consume a chunk of (r', x) training pairs in arrival order."""
     R_chunk = np.atleast_2d(np.asarray(R_chunk, dtype=float))
     X_chunk = np.atleast_2d(np.asarray(X_chunk))
-    T = np.concatenate([X_chunk.real, X_chunk.imag], axis=1)
     state = recv.rls
-    for r, t in zip(R_chunk, T):
+    for r, t in zip(R_chunk, real_stack(X_chunk)):
         state = rls_step(state, r, t)
     return replace(recv, rls=state)
 
 
 def oselm_weights(recv: AdaptiveElmReceiver) -> RealImagWeights:
-    K = recv.n_users
-    beta = recv.rls.beta
-    return RealImagWeights(beta_re=beta[:, :K].copy(),
-                           beta_im=beta[:, K:].copy(), gamma=recv.gamma)
+    return _split(recv.rls.beta, recv.gamma)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elm_mimo.core import real_stack
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, attach_biases,
                                bias_quantize, calibrate_adc, draw_biases,
                                ideal_adc, pa_distort, quantize, quantize_iq,
@@ -116,6 +117,15 @@ def test_demap_preserves_shape(shape):
     labels = QAM16.demap(x)
     assert np.shape(labels) == shape
     assert np.array_equal(labels, _argmin_demap(x))
+
+
+@pytest.mark.parametrize("x", [complex(np.nan, 0.0), complex(np.nan, np.nan),
+                               complex(0.3, np.nan), complex(np.inf, 0.0)])
+def test_demap_rejects_non_finite_estimates(x):
+    # a NaN or infinite estimate has no nearest point; deciding it anyway
+    # would hide a broken readout behind ordinary symbol errors
+    with pytest.raises(ValueError, match="non-finite"):
+        QAM16.demap(np.array([0.1 + 0.1j, x]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +241,40 @@ def test_quantizer_law_suite(bits):
     # clipping saturation at the extremes
     assert np.all(q[grid >= adc.full_scale] == adc.levels[-1])
     assert np.all(q[grid <= -adc.full_scale] == adc.levels[0])
+
+
+_scaled_inputs = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.floats(1e-3, 1e3), _scaled_inputs)
+def test_quantizer_law_property(bits, full_scale, u):
+    adc = AdcConfig(bits=bits, full_scale=full_scale)
+    c = np.sort(np.array(u) * full_scale)
+    q = quantize(c, adc)
+    assert np.isin(q, adc.levels).all()
+    assert np.all(np.diff(q) >= 0)
+    # granular error: step/2 up to the rounding of c/step and of the level
+    inside = np.abs(c) < full_scale
+    tol = adc.step / 2 + 8 * np.finfo(float).eps * full_scale
+    assert np.all(np.abs(q[inside] - c[inside]) <= tol)
+    assert np.all(q[c >= full_scale] == adc.levels[-1])
+    assert np.all(q[c <= -full_scale] == adc.levels[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.floats(1e-2, 1e2), st.integers(1, 8),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_bias_quantize_is_quantized_biased_stack(bits, full_scale, n, m,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    b_re, b_im = draw_biases(n, 0.5 * full_scale, rng)
+    adc = attach_biases(AdcConfig(bits=bits, full_scale=full_scale),
+                        b_re, b_im)
+    y = full_scale * (rng.standard_normal((m, n))
+                      + 1j * rng.standard_normal((m, n)))
+    want = quantize(real_stack(y) + np.concatenate([b_re, b_im]), adc)
+    assert np.array_equal(bias_quantize(y, adc), want)
 
 
 def test_adc_config_validation():

@@ -52,6 +52,17 @@ def test_config_validation():
         AdaptiveConfig(forgetting=1.5)
 
 
+def test_config_rejects_bad_gamma_built_in_python():
+    with pytest.raises(ValueError, match="gamma.natural_elm"):
+        replace(desk_config(), gamma={"natural_elm": 1e-3})   # typo
+    with pytest.raises(ValueError, match="gamma"):
+        replace(desk_config(), gamma=0.5)
+    # a partial dict leaves the other receivers at the default
+    cfg = replace(desk_config(), gamma={"oselm": 1e-3})
+    assert cfg.gamma_for("oselm") == 1e-3
+    assert cfg.gamma_for("natural-elm") == 1.0
+
+
 def test_config_round_trip():
     cfg = paper_config()
     again = config_from_dict(config_to_dict(cfg))
@@ -523,6 +534,8 @@ OUT_OF_RANGE = [
     ({"gamma": {"natural-elm": -1.0}}, "gamma.natural-elm"),
     ({"gamma": {"oselm": math.nan}}, "gamma.oselm"),
     ({"gamma": -1.0}, "gamma"),
+    ({"snr_db_list": [-math.inf]}, "snr_db_list"),
+    ({"snr_db_list": [5.0, math.nan]}, "snr_db_list"),
 ]
 
 
@@ -614,7 +627,11 @@ _out_of_range = st.one_of(
     st.tuples(st.sampled_from(("natural-elm", "borrowed-elm", "trained-zf",
                                "oselm")), _bad_gamma).map(
         lambda kv: ({"gamma": {kv[0]: kv[1]}}, f"gamma.{kv[0]}")),
-    _bad_gamma.map(lambda v: ({"gamma": v}, "gamma")))
+    _bad_gamma.map(lambda v: ({"gamma": v}, "gamma")),
+    st.tuples(st.lists(_finite(-30.0, 60.0), max_size=3),
+              st.sampled_from((math.inf, -math.inf, math.nan)),
+              st.lists(_finite(-30.0, 60.0), max_size=3)).map(
+        lambda p: ({"snr_db_list": p[0] + [p[1]] + p[2]}, "snr_db_list")))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 """Tests for the five receivers and the adaptive (RLS-tracked) variant."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import expit
 
 from elm_mimo.channel import ChannelConfig, draw_process, realize
@@ -59,10 +61,13 @@ def test_zero_bias_equals_trained_zf():
 
 
 def test_train_zf_direct_accepts_complex_rows():
+    # trained ZF is the natural-ELM fit on the real stack, bit for bit
     H, labels, X, Y = _toy_system(seed=3)
-    a = train_zf_direct(Y, X, 0.1)
-    b = train_zf_direct(real_stack(Y), X, 0.1)
-    assert np.allclose(a.beta_re, b.beta_re)
+    want = train_natural_elm(real_stack(Y), X, 0.1)
+    for R in (Y, real_stack(Y)):
+        w = train_zf_direct(R, X, 0.1)
+        assert np.array_equal(w.beta_re, want.beta_re)
+        assert np.array_equal(w.beta_im, want.beta_im)
 
 
 def test_trained_zf_left_inverse_noise_free():
@@ -113,22 +118,66 @@ def test_zero_weights_demap_to_tie_break():
 def test_zf_orthonormal_columns():
     Q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((8, 3))
                         + 1j * np.random.default_rng(7).standard_normal((8, 3)))
-    w = zf_weights(Q)
-    assert np.allclose(w.W, Q.conj().T, atol=1e-10)
-    assert np.allclose(w.W @ Q, np.eye(3), atol=1e-10)
+    W = zf_weights(Q)
+    assert np.allclose(W, Q.conj().T, atol=1e-10)
+    assert np.allclose(W @ Q, np.eye(3), atol=1e-10)
 
 
 def test_mmse_identity_channel():
-    w = mmse_weights(np.eye(3, dtype=complex), 1.0)
-    assert np.allclose(w.W, 0.5 * np.eye(3), atol=1e-12)
+    W = mmse_weights(np.eye(3, dtype=complex), 1.0)
+    assert np.allclose(W, 0.5 * np.eye(3), atol=1e-12)
 
 
 def test_mmse_approaches_zf_at_high_snr():
     rng = np.random.default_rng(8)
     H = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    Wzf = zf_weights(H).W
-    Wmmse = mmse_weights(H, 1e8).W
+    Wzf = zf_weights(H)
+    Wmmse = mmse_weights(H, 1e8)
     assert np.linalg.norm(Wmmse - Wzf) <= 1e-6 * np.linalg.norm(Wzf)
+
+
+def _reference_zf_weights(H):
+    """The ZF combiner as written before core's shared normal equations."""
+    H = np.asarray(H, dtype=complex)
+    G = H.conj().T @ H
+    try:
+        c = cho_factor(G, lower=True)
+    except LinAlgError as exc:
+        raise ValueError("channel matrix is rank deficient") from exc
+    if np.linalg.cond(G) > 1e14:
+        raise ValueError("channel matrix is rank deficient")
+    return cho_solve(c, H.conj().T)
+
+
+def _reference_mmse_weights(H, snr):
+    """The MMSE combiner as written before core's shared normal equations."""
+    H = np.asarray(H, dtype=complex)
+    G = H.conj().T @ H
+    G[np.diag_indices_from(G)] += 1.0 / snr
+    return cho_solve(cho_factor(G, lower=True), H.conj().T)
+
+
+_entries = st.floats(-10.0, 10.0)
+_channels = st.integers(1, 6).flatmap(lambda k: st.integers(k, 16).flatmap(
+    lambda n: st.lists(st.tuples(_entries, _entries), min_size=n * k,
+                       max_size=n * k).map(lambda v: np.array(
+        [complex(a, b) for a, b in v]).reshape(n, k))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_channels, st.floats(-30.0, 60.0))
+def test_combiners_match_reference_bitwise(H, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    assert np.array_equal(mmse_weights(H, snr),
+                          _reference_mmse_weights(H, snr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            want = _reference_zf_weights(H)
+        except ValueError:   # rank deficient: both refuse
+            with pytest.raises(ValueError):
+                zf_weights(H)
+        else:
+            assert np.array_equal(zf_weights(H), want)
 
 
 def test_zf_rank_deficient_raises():
@@ -226,6 +275,17 @@ def test_oselm_lambda_one_matches_batch():
     w = oselm_weights(recv)
     assert np.allclose(w.beta_re, batch.beta_re, rtol=1e-8, atol=1e-10)
     assert np.allclose(w.beta_im, batch.beta_im, rtol=1e-8, atol=1e-10)
+
+
+def test_oselm_init_is_the_batch_fit():
+    # rls_init and ridge_solve factor the same normal equations
+    rng = np.random.default_rng(21)
+    R0 = rng.standard_normal((40, 8))
+    X0 = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    w = oselm_weights(oselm_init(R0, X0, 0.3, 0.98))
+    batch = train_natural_elm(R0, X0, 0.3)
+    assert np.array_equal(w.beta_re, batch.beta_re)
+    assert np.array_equal(w.beta_im, batch.beta_im)
 
 
 def test_oselm_weights_carry_configured_gamma():
