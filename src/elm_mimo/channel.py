@@ -35,15 +35,16 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.n_antennas < self.n_users or self.n_users < 1:
-            raise ValueError("need n_antennas >= n_users >= 1")
+            raise ValueError(
+                "need channel.n_antennas >= channel.n_users >= 1")
         if self.symbol_duration_s <= 0:
-            raise ValueError("symbol_duration_s must be positive")
+            raise ValueError("channel.symbol_duration_s must be positive")
         if self.n_rays < 1:
-            raise ValueError("n_rays must be >= 1")
+            raise ValueError("channel.n_rays must be >= 1")
         if self.angular_spread_deg <= 0:
-            raise ValueError("angular_spread_deg must be positive")
+            raise ValueError("channel.angular_spread_deg must be positive")
         if self.velocity_mps < 0:
-            raise ValueError("velocity_mps must be nonnegative")
+            raise ValueError("channel.velocity_mps must be nonnegative")
         if len(self.mean_aoa_range_rad) != 2:
             raise ValueError("channel.mean_aoa_range_rad must hold two "
                              f"values, got {list(self.mean_aoa_range_rad)}")

@@ -3,8 +3,8 @@
 Ridge-regularized least squares, the real-composite embedding of complex
 linear systems, and a recursive least-squares engine with exponential
 forgetting.  gram and factor are the package's one path to normal
-equations: every trained readout and both genie combiners go through
-them.  Everything operates on plain float64 / complex128 ndarrays.
+equations: every readout, the recursive one included, goes through them.
+Everything operates on plain float64 / complex128 ndarrays.
 """
 from __future__ import annotations
 
@@ -35,17 +35,17 @@ def gram(Z: np.ndarray, gamma: float) -> np.ndarray:
     return G
 
 
-def factor(G: np.ndarray, gamma: float):
-    """Lower Cholesky factor of the normal-equation matrix G = gram(Z,
-    gamma), for cho_solve; a singular G raises ValueError instead of
-    falling back to a pseudo-inverse."""
+def factor(G: np.ndarray, gamma: float | None = None):
+    """Lower Cholesky factor of a normal-equation matrix G, for
+    cho_solve; a singular G raises ValueError, naming gamma if G is
+    gram(Z, gamma), instead of falling back to a pseudo-inverse."""
     try:
         return cho_factor(G, lower=True)
     except LinAlgError as exc:
+        where = "" if gamma is None else " (gamma=%g)" % gamma
         raise ValueError(
-            "singular normal equations (gamma=%g); increase the "
-            "regularization or provide more samples" % gamma
-        ) from exc
+            "singular normal equations%s; increase the regularization or "
+            "provide more samples" % where) from exc
 
 
 def ridge_solve(Z: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
@@ -80,71 +80,50 @@ def real_stack(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RlsState:
-    """State of an exponentially weighted recursive least-squares fit.
+    """Exponentially weighted ridge fit as its normal equations G beta = C:
+    after n samples (r_i, t_i) past a batch (R0, T0), G = lam^n (R0^T R0
+    + gamma I) + sum_i lam^(n-i) r_i r_i^T, C likewise from R0^T T0 and
+    r_i t_i^T.  lam is the forgetting factor in (0, 1]."""
 
-    P approximates the inverse (weighted) correlation matrix of the
-    regressors, beta holds one output-weight column per target, and lam
-    is the forgetting factor in (0, 1].
-    """
-
-    P: np.ndarray      # (L, L)
-    beta: np.ndarray   # (L, V)
+    G: np.ndarray      # (L, L)
+    C: np.ndarray      # (L, V)
     lam: float
 
     def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
+        self.G = np.asarray(self.G, dtype=float)
+        self.C = np.asarray(self.C, dtype=float)
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
-        if self.P.shape[0] != self.P.shape[1]:
-            raise ValueError("P must be square")
-        if self.beta.shape[0] != self.P.shape[0]:
-            raise ValueError("beta rows must match P")
+        if self.G.ndim != 2 or self.G.shape[0] != self.G.shape[1]:
+            raise ValueError("G must be square")
+        if self.C.shape[0] != self.G.shape[0]:
+            raise ValueError("C rows must match G")
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Output weights (L, V), the solution of G beta = C."""
+        return cho_solve(factor(self.G), self.C)
 
 
 def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
              lam: float = 1.0) -> RlsState:
-    """Batch-initialize RLS from M0 regressor rows R0 and targets T0.
-
-    P = (R0^T R0 + gamma I)^-1 and beta is the batch ridge solution, so
-    subsequent lam = 1 updates stay exactly equal to batch ridge on the
-    accumulated data.
-    """
+    """Batch-initialize from M0 regressor rows R0 and targets T0: beta
+    starts as their ridge fit, and lam = 1 updates stay the ridge fit of
+    all data seen."""
     R0 = np.asarray(R0, dtype=float)
     T0 = np.asarray(T0, dtype=float)
     if T0.ndim == 1:
         T0 = T0[:, None]
-    c = factor(gram(R0, gamma), gamma)
-    L = R0.shape[1]
-    P = cho_solve(c, np.eye(L))
-    P = 0.5 * (P + P.T)
-    beta = cho_solve(c, R0.T @ T0)
-    return RlsState(P=P, beta=beta, lam=lam)
+    return RlsState(G=gram(R0, gamma), C=R0.T @ T0, lam=lam)
 
 
 def rls_step(state: RlsState, r: np.ndarray, t: np.ndarray) -> RlsState:
-    """One RLS update with regressor r (length L) and target t (length V).
-
-    q = P r / (lam + r^T P r); beta += q (t - beta^T r)^T;
-    P <- (P - q r^T P) / lam, re-symmetrized.  Returns a new state.
-    """
+    """Fold in one sample, regressor r (length L) and target t (length V):
+    G <- lam G + r r^T, C <- lam C + r t^T.  Returns a new state."""
     r = np.asarray(r, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    P, beta, lam = state.P, state.beta, state.lam
-    Pr = P @ r
-    denom = lam + r @ Pr
-    q = Pr / denom
-    e = t - beta.T @ r
-    beta_new = beta + np.outer(q, e)
-    # one (L, L) buffer for (P - q Pr^T) / lam; P itself is never written
-    X = np.outer(q, Pr)
-    np.subtract(P, X, out=X)
-    X /= lam
-    P_new = X + X.T
-    P_new *= 0.5
-    if not (np.isfinite(P_new).all() and np.isfinite(beta_new).all()):
-        raise FloatingPointError(
-            "RLS update produced non-finite values; the forgetting factor "
-            "is likely too small for the regressor dimension"
-        )
-    return RlsState(P=P_new, beta=beta_new, lam=lam)
+    G = state.lam * state.G
+    G += np.outer(r, r)
+    C = state.lam * state.C
+    C += np.outer(r, t)
+    return RlsState(G=G, C=C, lam=state.lam)

@@ -96,8 +96,9 @@ class SalehParams:
     eps_phi: float = 2.82
 
     def __post_init__(self):
-        if self.eps_a <= 0 or self.eps_phi <= 0:
-            raise ValueError("eps_a and eps_phi must be positive")
+        for name in ("eps_a", "eps_phi"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"saleh.{name} must be positive")
 
 
 def pa_distort(x, p: SalehParams):

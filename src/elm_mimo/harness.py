@@ -29,7 +29,8 @@ import numbers
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from functools import partial
 from pathlib import Path
 
@@ -108,6 +109,17 @@ class ExperimentConfig:
     snr_reference: str = "post-pa"
 
     def __post_init__(self):
+        # the loader's type rule, applied to configs built in Python too
+        for f in fields(self):
+            value, key = getattr(self, f.name), _ADC_KEYS.get(f.name, f.name)
+            if value is None and f.name in ("saleh", "adc_bits"):
+                continue
+            default = (f.default if f.default is not MISSING
+                       else f.default_factory())
+            if is_dataclass(value) != is_dataclass(default):
+                raise ValueError(f"config key '{key}' must be a "
+                                 f"{type(default).__name__}, got {value!r}")
+            _typed(vars(value) if is_dataclass(value) else value, default, key)
         if not (self.snr_db_list and np.isfinite(self.snr_db_list).all()):
             raise ValueError("snr_db_list must be non-empty and finite, "
                              f"got {list(self.snr_db_list)}")
@@ -132,12 +144,7 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0, "
                              f"got {self.master_seed}")
-        if not isinstance(self.gamma, dict):
-            raise ValueError("gamma must be a dict of receiver -> gamma, "
-                             f"got {self.gamma!r}")
         for name, g in self.gamma.items():
-            if name not in TRAINED:
-                raise ValueError(f"gamma.{name} is not one of {TRAINED}")
             if not (g >= 0 and np.isfinite(g)):
                 raise ValueError(f"gamma.{name} must be >= 0 and finite, "
                                  f"got {g}")
@@ -166,18 +173,19 @@ def paper_config() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Config (de)serialization.  The on-disk format is a strict JSON document
 # derived from the dataclass fields: unknown keys and values of the wrong
-# type are rejected with the offending key named.
+# type are rejected with the offending key named, and a config built in
+# Python is held to the same type rule.
 
 # "adc" object key -> ExperimentConfig field
 _ADC_FIELDS = {"bits": "adc_bits", "headroom": "adc_headroom",
                "bias_scale": "bias_scale"}
+_ADC_KEYS = {name: f"adc.{k}" for k, name in _ADC_FIELDS.items()}
 
 
-def _check_keys(d: dict, allowed, where: str):
+def _check_keys(d: dict, allowed, prefix: str = ""):
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ValueError(
-            f"unknown config key '{sorted(unknown)[0]}' in {where}")
+        raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
 
 
 def _typed(value, default, key: str):
@@ -188,7 +196,7 @@ def _typed(value, default, key: str):
             raise ValueError(f"config key '{key}' must be an object, "
                              f"got {value!r}")
         template = vars(default) if is_dataclass(default) else default
-        _check_keys(value, template, key)
+        _check_keys(value, template, f"{key}.")
         value = {k: _typed(v, template[k], f"{key}.{k}")
                  for k, v in value.items()}
         return type(default)(**value) if is_dataclass(default) else value
@@ -212,7 +220,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     defaults = dict(vars(ExperimentConfig()))
     defaults["adc"] = {k: defaults.pop(name)
                        for k, name in _ADC_FIELDS.items()}
-    _check_keys(data, defaults, "top level")
+    _check_keys(data, defaults)
     kwargs = {}
     for key, value in data.items():
         if key == "saleh" and value == "bypass":

@@ -2,9 +2,11 @@
 embedding, and the forgetting-factor RLS engine."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats, integers
 
-from elm_mimo.core import (RlsState, real_composite, real_stack, ridge_solve,
-                           rls_init, rls_step)
+from elm_mimo.core import (RlsState, gram, real_composite, real_stack,
+                           ridge_solve, rls_init, rls_step)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +90,9 @@ def test_real_stack_batch_shape():
 
 
 def test_rls_init_identity_prior():
-    # R0 = I (2x2), gamma = 1: P = (I + I)^-1 = I/2
+    # R0 = I (2x2), gamma = 1: G = I + I
     st = rls_init(np.eye(2), np.zeros((2, 1)), 1.0)
-    assert np.allclose(st.P, 0.5 * np.eye(2), atol=1e-14)
+    assert np.array_equal(st.G, 2.0 * np.eye(2))
 
 
 def test_rls_init_zero_targets():
@@ -102,16 +104,20 @@ def test_rls_init_zero_targets():
 def test_rls_init_multiply_back():
     rng = np.random.default_rng(6)
     R0 = rng.standard_normal((20, 6))
-    st = rls_init(R0, rng.standard_normal((20, 2)), 0.3)
-    prod = st.P @ (R0.T @ R0 + 0.3 * np.eye(6))
-    assert np.allclose(prod, np.eye(6), atol=1e-9)
+    T0 = rng.standard_normal((20, 2))
+    st = rls_init(R0, T0, 0.3)
+    assert np.array_equal(st.G, gram(R0, 0.3))
+    assert np.array_equal(st.C, R0.T @ T0)
+    assert np.allclose(st.G @ st.beta, st.C, atol=1e-9)
 
 
 def test_rls_state_validation():
-    with pytest.raises(ValueError):
-        RlsState(P=np.eye(2), beta=np.zeros((2, 1)), lam=0.0)
-    with pytest.raises(ValueError):
-        RlsState(P=np.eye(2), beta=np.zeros((3, 1)), lam=1.0)
+    with pytest.raises(ValueError, match="forgetting"):
+        RlsState(G=np.eye(2), C=np.zeros((2, 1)), lam=0.0)
+    with pytest.raises(ValueError, match="square"):
+        RlsState(G=np.ones((2, 3)), C=np.zeros((2, 1)), lam=1.0)
+    with pytest.raises(ValueError, match="rows"):
+        RlsState(G=np.eye(2), C=np.zeros((3, 1)), lam=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +163,15 @@ def test_rls_forgetting_contracts_repeated_sample():
     assert d2 < d1
 
 
-def test_rls_p_stays_symmetric_positive_definite():
+def test_rls_gram_stays_symmetric_positive_definite():
     rng = np.random.default_rng(9)
     for lam in (0.9, 0.95, 1.0):
         st = rls_init(rng.standard_normal((30, 6)),
                       rng.standard_normal((30, 2)), 0.1, lam)
         for _ in range(10_000):
             st = rls_step(st, rng.standard_normal(6), rng.standard_normal(2))
-        assert np.allclose(st.P, st.P.T)
-        assert np.linalg.eigvalsh(st.P).min() > 0
+        assert np.allclose(st.G, st.G.T)
+        assert np.linalg.eigvalsh(st.G).min() > 0
 
 
 def test_rls_step_leaves_input_state_unmodified_and_matches_formula():
@@ -173,23 +179,60 @@ def test_rls_step_leaves_input_state_unmodified_and_matches_formula():
     st = rls_init(rng.standard_normal((40, 8)),
                   rng.standard_normal((40, 3)), 0.1, 0.98)
     for _ in range(50):
-        P0, beta0 = st.P.copy(), st.beta.copy()
+        G0, C0 = st.G.copy(), st.C.copy()
         r, t = rng.standard_normal(8), rng.standard_normal(3)
         new = rls_step(st, r, t)
-        assert np.array_equal(st.P, P0) and np.array_equal(st.beta, beta0)
+        assert np.array_equal(st.G, G0) and np.array_equal(st.C, C0)
         # the docstring's update, written out with fresh temporaries
-        Pr = st.P @ r
-        q = Pr / (st.lam + r @ Pr)
-        P_ref = (st.P - np.outer(q, Pr)) / st.lam
-        assert np.array_equal(new.P, 0.5 * (P_ref + P_ref.T))
-        assert np.array_equal(new.beta,
-                              st.beta + np.outer(q, t - st.beta.T @ r))
+        assert np.array_equal(new.G, st.lam * st.G + np.outer(r, r))
+        assert np.array_equal(new.C, st.lam * st.C + np.outer(r, t))
         st = new
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rls_blowup_raises():
-    st = RlsState(P=np.array([[np.finfo(float).max / 4]]),
-                  beta=np.array([[np.finfo(float).max / 4]]), lam=1.0)
-    with pytest.raises(FloatingPointError):
-        rls_step(st, np.array([1e300]), np.array([1e300]))
+    # a singular G (no regularization, too few samples) cannot be solved
+    st = rls_init(np.ones((3, 2)), np.ones((3, 1)), 0.0)
+    with pytest.raises(ValueError, match="singular") as info:
+        st.beta
+    assert "gamma" not in str(info.value)
+
+
+def _reference_rls_step(P, beta, lam, r, t):
+    """The covariance-form RLS update, P being the inverse of G:
+    q = P r / (lam + r^T P r); beta += q (t - beta^T r)^T;
+    P <- (P - q r^T P) / lam, re-symmetrized (Sherman-Morrison)."""
+    Pr = P @ r
+    denom = lam + r @ Pr
+    q = Pr / denom
+    e = t - beta.T @ r
+    beta_new = beta + np.outer(q, e)
+    X = np.outer(q, Pr)
+    np.subtract(P, X, out=X)
+    X /= lam
+    P_new = X + X.T
+    P_new *= 0.5
+    return P_new, beta_new
+
+
+@settings(max_examples=200, deadline=None)
+@given(integers(1, 8), integers(1, 3), floats(0.9, 1.0), floats(1e-2, 1.0),
+       integers(0, 100), integers(0, 2**32 - 1))
+def test_rls_gram_form_matches_inverse_form_and_weighted_ridge(
+        L, V, lam, gamma, n, seed):
+    rng = np.random.default_rng(seed)
+    R0, T0 = rng.standard_normal((2 * L, L)), rng.standard_normal((2 * L, V))
+    state = rls_init(R0, T0, gamma, lam)
+    P = np.linalg.inv(R0.T @ R0 + gamma * np.eye(L))
+    beta = np.linalg.solve(R0.T @ R0 + gamma * np.eye(L), R0.T @ T0)
+    G = lam ** n * (R0.T @ R0 + gamma * np.eye(L))
+    C = lam ** n * (R0.T @ T0)
+    for i in range(1, n + 1):
+        r, t = rng.standard_normal(L), rng.standard_normal(V)
+        state = rls_step(state, r, t)
+        P, beta = _reference_rls_step(P, beta, lam, r, t)
+        G += lam ** (n - i) * np.outer(r, r)
+        C += lam ** (n - i) * np.outer(r, t)
+    scale = np.abs(beta).max()
+    assert np.allclose(state.beta, beta, rtol=1e-8, atol=1e-8 * scale)
+    assert np.allclose(state.beta, np.linalg.solve(G, C), rtol=1e-8,
+                       atol=1e-8 * scale)

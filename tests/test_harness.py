@@ -521,6 +521,19 @@ def test_config_wrong_type_names_key(data, key):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"trials": 1.5}, "trials"),
+    ({"channel": ChannelConfig(n_antennas=64.5)}, "channel.n_antennas"),
+    ({"adaptive": AdaptiveConfig(n_frames=2.5)}, "adaptive.n_frames"),
+    ({"training_len": "5"}, "training_len"),
+    ({"snr_db_list": ("a",)}, "snr_db_list"),
+    ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
+])
+def test_config_built_in_python_wrong_type_names_key(overrides, key):
+    with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
+        replace(desk_config(), **overrides)
+
+
 # one out-of-range value per range-checked key
 OUT_OF_RANGE = [
     ({"adc": {"bits": 0}}, "adc.bits"),
@@ -536,6 +549,9 @@ OUT_OF_RANGE = [
     ({"gamma": -1.0}, "gamma"),
     ({"snr_db_list": [-math.inf]}, "snr_db_list"),
     ({"snr_db_list": [5.0, math.nan]}, "snr_db_list"),
+    ({"channel": {"n_rays": 0}}, "channel.n_rays"),
+    ({"channel": {"n_antennas": 4}}, "channel.n_antennas"),
+    ({"saleh": {"eps_a": 0.0}}, "saleh.eps_a"),
 ]
 
 

@@ -304,8 +304,8 @@ def test_oselm_empty_chunk_is_identity():
     X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
     recv = oselm_init(R0, X0, 0.1, 0.98)
     recv2 = oselm_update(recv, np.empty((0, 4)), np.empty((0, 1)))
-    assert np.array_equal(recv2.rls.beta, recv.rls.beta)
-    assert np.array_equal(recv2.rls.P, recv.rls.P)
+    assert np.array_equal(recv2.rls.G, recv.rls.G)
+    assert np.array_equal(recv2.rls.C, recv.rls.C)
 
 
 def test_oselm_static_channel_training_mse_non_increasing():
