@@ -9,12 +9,11 @@ from .core import (RlsState, real_composite, real_stack, ridge_solve,
                    rls_init, rls_step)
 from .channel import (ChannelConfig, ChannelProcess, draw_process, realize,
                       steering_vector)
-from .frontend import (QAM16, AdcConfig, Qam16, SalehParams, attach_biases,
-                       bias_quantize, calibrate_adc, draw_biases, ideal_adc,
-                       pa_distort, quantize, quantize_iq, signal_power,
-                       transmit)
-from .receivers import (AdaptiveElmReceiver, BorrowedElmModel,
-                        RealImagWeights, detect_borrowed_elm, detect_linear,
+from .frontend import (QAM16, AdcConfig, Qam16, SalehParams, bias_quantize,
+                       calibrate_adc, ideal_adc, pa_distort, quantize,
+                       quantize_iq, signal_power, transmit)
+from .receivers import (BorrowedElmModel, RealImagWeights,
+                        detect_borrowed_elm, detect_linear,
                         detect_natural_elm, elm_estimate, mmse_weights,
                         oselm_init, oselm_update, oselm_weights,
                         train_borrowed_elm, train_natural_elm,

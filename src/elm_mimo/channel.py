@@ -41,8 +41,9 @@ class ChannelConfig:
             raise ValueError("channel.symbol_duration_s must be positive")
         if self.n_rays < 1:
             raise ValueError("channel.n_rays must be >= 1")
-        if self.angular_spread_deg <= 0:
-            raise ValueError("channel.angular_spread_deg must be positive")
+        if not 0 < self.angular_spread_deg < np.inf:
+            raise ValueError(
+                "channel.angular_spread_deg must be positive and finite")
         if self.velocity_mps < 0:
             raise ValueError("channel.velocity_mps must be nonnegative")
         if len(self.mean_aoa_range_rad) != 2:

@@ -7,7 +7,7 @@ layer of the natural ELM receiver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "quantize_iq",
     "bias_quantize",
     "calibrate_adc",
-    "draw_biases",
-    "attach_biases",
 ]
 
 
@@ -153,8 +151,10 @@ class AdcConfig:
 
     def __post_init__(self):
         if self.bits is not None:
-            if self.bits < 1:
-                raise ValueError("bits must be >= 1")
+            # past the 53-bit significand of a float64 sample, finer
+            # levels cannot be told apart
+            if not 1 <= self.bits <= 53:
+                raise ValueError("bits must be in [1, 53]")
             if not np.isfinite(self.full_scale) or self.full_scale <= 0:
                 raise ValueError("full_scale must be positive and finite")
 
@@ -171,10 +171,9 @@ class AdcConfig:
         return d * (np.arange(-half, half) + 0.5)
 
 
-def ideal_adc(bias_re=0.0, bias_im=0.0) -> AdcConfig:
-    """Infinite-resolution, unclipped converter (bias still applied)."""
-    return AdcConfig(bits=None, full_scale=np.inf,
-                     bias_re=bias_re, bias_im=bias_im)
+def ideal_adc() -> AdcConfig:
+    """Infinite-resolution, unclipped, unbiased converter."""
+    return AdcConfig(bits=None, full_scale=np.inf)
 
 
 def quantize(c, adc: AdcConfig):
@@ -222,12 +221,3 @@ def calibrate_adc(samples, bits: int, headroom: float = 3.0) -> AdcConfig:
         raise ValueError("calibration samples are all zero")
     return AdcConfig(bits=bits, full_scale=headroom * rms)
 
-
-def draw_biases(n: int, scale: float, rng: np.random.Generator):
-    """Per-antenna bias pair, each uniform on [-scale, scale]."""
-    return rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, n)
-
-
-def attach_biases(adc: AdcConfig, bias_re, bias_im) -> AdcConfig:
-    return replace(adc, bias_re=np.asarray(bias_re, dtype=float),
-                   bias_im=np.asarray(bias_im, dtype=float))

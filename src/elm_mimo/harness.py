@@ -39,9 +39,9 @@ import scipy
 
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
-from .frontend import (QAM16, AdcConfig, SalehParams, attach_biases,
-                       bias_quantize, calibrate_adc, draw_biases, ideal_adc,
-                       quantize_iq, signal_power, transmit)
+from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
+                       calibrate_adc, ideal_adc, quantize_iq, signal_power,
+                       transmit)
 from .receivers import (detect_linear, detect_natural_elm,
                         detect_borrowed_elm, mmse_weights, oselm_init,
                         oselm_update, oselm_weights, train_borrowed_elm,
@@ -120,9 +120,8 @@ class ExperimentConfig:
                 raise ValueError(f"config key '{key}' must be a "
                                  f"{type(default).__name__}, got {value!r}")
             _typed(vars(value) if is_dataclass(value) else value, default, key)
-        if not (self.snr_db_list and np.isfinite(self.snr_db_list).all()):
-            raise ValueError("snr_db_list must be non-empty and finite, "
-                             f"got {list(self.snr_db_list)}")
+        if not self.snr_db_list:
+            raise ValueError("snr_db_list must be non-empty")
         for name in ("training_len", "payload_len", "preamble_len",
                      "trials", "borrowed_hidden"):
             if getattr(self, name) < 1:
@@ -133,31 +132,26 @@ class ExperimentConfig:
         if not 0 < len(self.receivers) == len(set(self.receivers)):
             raise ValueError("receivers must be non-empty and name each "
                              f"receiver once, got {list(self.receivers)}")
-        if self.adc_bits is not None and self.adc_bits < 1:
-            raise ValueError(f"adc.bits must be >= 1, got {self.adc_bits}")
-        if not (self.adc_headroom > 0 and np.isfinite(self.adc_headroom)):
-            raise ValueError("adc.headroom must be positive and finite, "
+        if self.adc_bits is not None and not 1 <= self.adc_bits <= 53:
+            raise ValueError("adc.bits must be in [1, 53], "
+                             f"got {self.adc_bits}")
+        if self.adc_headroom <= 0:
+            raise ValueError("adc.headroom must be positive, "
                              f"got {self.adc_headroom}")
-        if not (self.bias_scale >= 0 and np.isfinite(self.bias_scale)):
-            raise ValueError("adc.bias_scale must be >= 0 and finite, "
+        if self.bias_scale < 0:
+            raise ValueError("adc.bias_scale must be >= 0, "
                              f"got {self.bias_scale}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0, "
                              f"got {self.master_seed}")
         for name, g in self.gamma.items():
-            if not (g >= 0 and np.isfinite(g)):
-                raise ValueError(f"gamma.{name} must be >= 0 and finite, "
-                                 f"got {g}")
+            if g < 0:
+                raise ValueError(f"gamma.{name} must be >= 0, got {g}")
         if self.snr_reference not in ("post-pa", "pre-pa"):
             raise ValueError("snr_reference must be 'post-pa' or 'pre-pa'")
 
     def gamma_for(self, receiver: str) -> float:
         return self.gamma.get(receiver, 1.0)
-
-    def signal_power(self) -> float:
-        if self.snr_reference == "pre-pa":
-            return 1.0
-        return signal_power(self.saleh)
 
 
 def desk_config() -> ExperimentConfig:
@@ -180,6 +174,8 @@ def paper_config() -> ExperimentConfig:
 _ADC_FIELDS = {"bits": "adc_bits", "headroom": "adc_headroom",
                "bias_scale": "bias_scale"}
 _ADC_KEYS = {name: f"adc.{k}" for k, name in _ADC_FIELDS.items()}
+# a Python float, which compares with an integer of any size exactly
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_keys(d: dict, allowed, prefix: str = ""):
@@ -190,7 +186,8 @@ def _check_keys(d: dict, allowed, prefix: str = ""):
 
 def _typed(value, default, key: str):
     """A JSON value checked against the type of the default it replaces;
-    an object is checked key by key against a default dataclass or dict."""
+    an object is checked key by key against a default dataclass or dict,
+    and a number replacing a float must be a finite float64."""
     if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key '{key}' must be an object, "
@@ -211,6 +208,8 @@ def _typed(value, default, key: str):
                                        != isinstance(default, bool)):
         raise ValueError(f"config key '{key}' must be of type "
                          f"{type(default).__name__}, got {value!r}")
+    if isinstance(default, float) and not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"config key '{key}' must be finite, got {value!r}")
     return value
 
 
@@ -316,8 +315,10 @@ class _Trial:
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
 
     def at_snr(self, snr_db: float):
+        power = (signal_power(self.cfg.saleh)
+                 if self.cfg.snr_reference == "post-pa" else 1.0)
         self.snr = 10.0 ** (snr_db / 10.0)
-        self.sigma2 = self.cfg.signal_power() / self.snr
+        self.sigma2 = power / self.snr
 
     def send(self, n: int):
         """n random symbol vectors over the link: (labels, x, y)."""
@@ -331,12 +332,11 @@ class _Trial:
         """Freeze the converter: full scale from the calibration samples y
         (unused by an ideal converter) and fresh per-antenna biases."""
         cfg = self.cfg
-        b_re, b_im = draw_biases(cfg.channel.n_antennas, cfg.bias_scale,
-                                 self.biases)
-        if cfg.adc_bits is None:
-            return ideal_adc(b_re, b_im)
-        adc = calibrate_adc(real_stack(y), cfg.adc_bits, cfg.adc_headroom)
-        return attach_biases(adc, b_re, b_im)
+        b_re, b_im = self.biases.uniform(-cfg.bias_scale, cfg.bias_scale,
+                                         (2, cfg.channel.n_antennas))
+        adc = (ideal_adc() if cfg.adc_bits is None else
+               calibrate_adc(real_stack(y), cfg.adc_bits, cfg.adc_headroom))
+        return replace(adc, bias_re=b_re, bias_im=b_im)
 
     def detect_and_count(self, key, detect, model, R, labels):
         """Detect one block and add its symbol and error counts under key =
@@ -423,10 +423,9 @@ ABLATION_SYSTEMS = ("trained-zf-unquantized", "trained-zf-unquantized-biased",
 def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
     """The natural-ELM readout behind four converters.  "unquantized" keeps
     the converter's analog clipping range with infinite resolution."""
-    clip = AdcConfig(bits=None, full_scale=quant.full_scale)
-    converters = (clip, attach_biases(clip, quant.bias_re, quant.bias_im),
-                  AdcConfig(bits=quant.bits, full_scale=quant.full_scale),
-                  quant)
+    unbiased = replace(quant, bias_re=0.0, bias_im=0.0)
+    converters = (replace(unbiased, bits=None), replace(quant, bits=None),
+                  unbiased, quant)
     return [_Arm(name, adc, *_RECEIVERS["natural-elm"])
             for name, adc in zip(ABLATION_SYSTEMS, converters)]
 
@@ -451,15 +450,15 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     t.H = realize(proc, 0)
     _, x0, y0 = t.send(ad.init_len)
     adc = t.calibrate(y0)
-    recv = oselm_init(bias_quantize(y0, adc), x0, gamma, ad.forgetting)
-    frozen_w = oselm_weights(recv)
+    state = oselm_init(bias_quantize(y0, adc), x0, gamma, ad.forgetting)
+    frozen_w = oselm_weights(state, gamma)
 
     frame_len = ad.frame_training_len + ad.frame_data_len
     for f in range(ad.n_frames):
         t.H = realize(proc, ad.init_len + f * frame_len)
         # adaptive update on the frame's training burst
         _, x_t, y_t = t.send(ad.frame_training_len)
-        recv = oselm_update(recv, bias_quantize(y_t, adc), x_t)
+        state = oselm_update(state, bias_quantize(y_t, adc), x_t)
         # benchmark: batch retrain assuming a long training block is
         # available within the frame
         _, x_b, y_b = t.send(ad.benchmark_training_len)
@@ -469,7 +468,7 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
         labels, _, y = t.send(ad.frame_data_len)
         r = bias_quantize(y, adc)
         for name, w in zip(ADAPTIVE_VARIANTS,
-                           (oselm_weights(recv), bench_w, frozen_w)):
+                           (oselm_weights(state, gamma), bench_w, frozen_w)):
             t.detect_and_count((name, snr_db, f), detect_natural_elm, w, r,
                                labels)
     return t.counts

@@ -8,7 +8,7 @@ biased before quantization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -31,7 +31,6 @@ __all__ = [
     "train_borrowed_elm",
     "borrowed_estimate",
     "detect_borrowed_elm",
-    "AdaptiveElmReceiver",
     "oselm_init",
     "oselm_update",
     "oselm_weights",
@@ -147,31 +146,22 @@ def detect_borrowed_elm(model: BorrowedElmModel, r: np.ndarray) -> np.ndarray:
     return QAM16.demap(borrowed_estimate(model, r))
 
 
-@dataclass
-class AdaptiveElmReceiver:
-    """OSELM receiver: RLS state over the 2N biased-quantized hidden
-    outputs with 2K targets (real parts first, then imaginary)."""
-
-    rls: RlsState
-    gamma: float
-
-
 def oselm_init(R0: np.ndarray, X0: np.ndarray, gamma: float,
-               lam: float) -> AdaptiveElmReceiver:
-    return AdaptiveElmReceiver(rls=rls_init(R0, real_stack(X0), gamma, lam),
-                               gamma=gamma)
+               lam: float) -> RlsState:
+    """OS-ELM state over the 2N biased-quantized hidden outputs with 2K
+    targets (real parts first, then imaginary)."""
+    return rls_init(R0, real_stack(X0), gamma, lam)
 
 
-def oselm_update(recv: AdaptiveElmReceiver, R_chunk: np.ndarray,
-                 X_chunk: np.ndarray) -> AdaptiveElmReceiver:
+def oselm_update(state: RlsState, R_chunk: np.ndarray,
+                 X_chunk: np.ndarray) -> RlsState:
     """Consume a chunk of (r', x) training pairs in arrival order."""
     R_chunk = np.atleast_2d(np.asarray(R_chunk, dtype=float))
     X_chunk = np.atleast_2d(np.asarray(X_chunk))
-    state = recv.rls
     for r, t in zip(R_chunk, real_stack(X_chunk)):
         state = rls_step(state, r, t)
-    return replace(recv, rls=state)
+    return state
 
 
-def oselm_weights(recv: AdaptiveElmReceiver) -> RealImagWeights:
-    return _split(recv.rls.beta, recv.gamma)
+def oselm_weights(state: RlsState, gamma: float) -> RealImagWeights:
+    return _split(state.beta, gamma)

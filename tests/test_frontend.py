@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elm_mimo.core import real_stack
-from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, attach_biases,
-                               bias_quantize, calibrate_adc, draw_biases,
-                               ideal_adc, pa_distort, quantize, quantize_iq,
-                               signal_power, transmit)
+from elm_mimo import harness
+from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
+                               calibrate_adc, ideal_adc, pa_distort, quantize,
+                               quantize_iq, signal_power, transmit)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +268,9 @@ def test_quantizer_law_property(bits, full_scale, u):
 def test_bias_quantize_is_quantized_biased_stack(bits, full_scale, n, m,
                                                  seed):
     rng = np.random.default_rng(seed)
-    b_re, b_im = draw_biases(n, 0.5 * full_scale, rng)
-    adc = attach_biases(AdcConfig(bits=bits, full_scale=full_scale),
-                        b_re, b_im)
+    b_re, b_im = rng.uniform(-0.5 * full_scale, 0.5 * full_scale, (2, n))
+    adc = AdcConfig(bits=bits, full_scale=full_scale, bias_re=b_re,
+                    bias_im=b_im)
     y = full_scale * (rng.standard_normal((m, n))
                       + 1j * rng.standard_normal((m, n)))
     want = quantize(real_stack(y) + np.concatenate([b_re, b_im]), adc)
@@ -280,6 +280,8 @@ def test_bias_quantize_is_quantized_biased_stack(bits, full_scale, n, m,
 def test_adc_config_validation():
     with pytest.raises(ValueError):
         AdcConfig(bits=0, full_scale=1.0)
+    with pytest.raises(ValueError):
+        AdcConfig(bits=54, full_scale=1.0)
     with pytest.raises(ValueError):
         AdcConfig(bits=4, full_scale=np.inf)
     with pytest.raises(ValueError):
@@ -327,19 +329,30 @@ def test_bias_quantize_scalar_oracle():
         y = complex(rng.standard_normal(), rng.standard_normal())
         b_re = rng.uniform(-0.3, 0.3)
         b_im = rng.uniform(-0.3, 0.3)
-        adc = attach_biases(adc0, [b_re], [b_im])
+        adc = AdcConfig(bits=5, full_scale=1.5, bias_re=np.array([b_re]),
+                        bias_im=np.array([b_im]))
         out = bias_quantize(np.array([y]), adc)
         assert out[0] == quantize(y.real + b_re, adc0)
         assert out[1] == quantize(y.imag + b_im, adc0)
 
 
 def test_draw_biases_range_and_freeze():
+    # a trial's converter carries one bias per antenna and part, each
+    # within the bias scale, and the same seed freezes the same biases
     rng = np.random.default_rng(8)
-    b_re, b_im = draw_biases(1000, 0.1, rng)
-    assert np.abs(b_re).max() <= 0.1 and np.abs(b_im).max() <= 0.1
-    adc = attach_biases(AdcConfig(bits=4, full_scale=1.0), b_re, b_im)
-    y = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    assert np.array_equal(bias_quantize(y, adc), bias_quantize(y, adc))
+    for bits in (None, 6):
+        cfg = harness.ExperimentConfig(adc_bits=bits, bias_scale=0.1)
+        n = cfg.channel.n_antennas
+        y = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+        adc = harness._Trial(cfg, 0).calibrate(y)
+        assert adc.bits == bits
+        for b in (adc.bias_re, adc.bias_im):
+            assert b.shape == (n,) and np.abs(b).max() <= 0.1
+        assert not np.array_equal(adc.bias_re, adc.bias_im)
+        again = harness._Trial(cfg, 0).calibrate(y)
+        assert np.array_equal(again.bias_re, adc.bias_re)
+        assert np.array_equal(again.bias_im, adc.bias_im)
+        assert np.array_equal(bias_quantize(y, adc), bias_quantize(y, again))
 
 
 # ---------------------------------------------------------------------------

@@ -286,15 +286,15 @@ def test_adaptive_lambda_one_static_converges_to_batch():
         return bias_quantize(transmit(H, x, 0.05, rng, None), adc), x
 
     R_all, X_all = block(300)
-    recv = oselm_init(R_all, X_all, 1e-3, 1.0)
+    state = oselm_init(R_all, X_all, 1e-3, 1.0)
     dists = []
     for _ in range(5):
         Rc, Xc = block(100)
-        recv = oselm_update(recv, Rc, Xc)
+        state = oselm_update(state, Rc, Xc)
         R_all = np.vstack([R_all, Rc])
         X_all = np.vstack([X_all, Xc])
         batch = train_natural_elm(R_all, X_all, 1e-3)
-        w = oselm_weights(recv)
+        w = oselm_weights(state, 1e-3)
         dists.append(np.linalg.norm(w.beta_re - batch.beta_re)
                      + np.linalg.norm(w.beta_im - batch.beta_im))
     assert max(dists) <= 1e-7
@@ -515,6 +515,19 @@ def test_public_names_unchanged():
     ({"snr_reference": 0}, "snr_reference"),
     ({"gamma": "x"}, "gamma"),
     ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
+    # a number replacing a float must be finite
+    ({"channel": {"angular_spread_deg": math.inf}},
+     "channel.angular_spread_deg"),
+    ({"channel": {"angular_spread_deg": math.nan}},
+     "channel.angular_spread_deg"),
+    ({"channel": {"mean_aoa_range_rad": [0.0, math.nan]}},
+     "channel.mean_aoa_range_rad"),
+    ({"channel": {"symbol_duration_s": math.nan}},
+     "channel.symbol_duration_s"),
+    ({"channel": {"carrier_hz": math.nan}}, "channel.carrier_hz"),
+    ({"saleh": {"alpha_a": math.nan}}, "saleh.alpha_a"),
+    ({"adaptive": {"forgetting": math.nan}}, "adaptive.forgetting"),
+    ({"adc": {"headroom": 10**400}}, "adc.headroom"),
 ])
 def test_config_wrong_type_names_key(data, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
@@ -528,10 +541,18 @@ def test_config_wrong_type_names_key(data, key):
     ({"training_len": "5"}, "training_len"),
     ({"snr_db_list": ("a",)}, "snr_db_list"),
     ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
+    ({"adc_headroom": math.inf}, "adc.headroom"),
 ])
 def test_config_built_in_python_wrong_type_names_key(overrides, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
         replace(desk_config(), **overrides)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_channel_config_rejects_non_finite_angular_spread(value):
+    # an infinite spread would leave the truncated-Laplacian draw looping
+    with pytest.raises(ValueError, match="channel.angular_spread_deg"):
+        ChannelConfig(angular_spread_deg=value)
 
 
 # one out-of-range value per range-checked key
@@ -552,6 +573,7 @@ OUT_OF_RANGE = [
     ({"channel": {"n_rays": 0}}, "channel.n_rays"),
     ({"channel": {"n_antennas": 4}}, "channel.n_antennas"),
     ({"saleh": {"eps_a": 0.0}}, "saleh.eps_a"),
+    ({"adc": {"bits": 1100}}, "adc.bits"),
 ]
 
 
@@ -625,8 +647,8 @@ _bad_gamma = (st.floats(max_value=0.0, exclude_max=True)
               | st.sampled_from((math.inf, math.nan)))
 
 _out_of_range = st.one_of(
-    st.integers(max_value=0).map(lambda v: ({"adc": {"bits": v}},
-                                            "adc.bits")),
+    (st.integers(max_value=0) | st.integers(min_value=54)).map(
+        lambda v: ({"adc": {"bits": v}}, "adc.bits")),
     (st.floats(max_value=0.0) | st.sampled_from((math.inf, math.nan))).map(
         lambda v: ({"adc": {"headroom": v}}, "adc.headroom")),
     (st.floats(max_value=0.0, exclude_max=True)

@@ -1,0 +1,48 @@
+"""Every name a package module imports is read in that module.
+
+There is no linter among the test dependencies, so this stands in for
+its unused-import rule.  Names listed in a module's ``__all__`` count as
+read: they are re-exported on purpose.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "elm_mimo"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "from dataclasses import dataclass, field\n"
+           "import os.path\n"
+           "__all__ = ['field']\n"
+           "@dataclass\nclass A:\n    x: int\n")
+    assert _unused_imports(src) == ["os (line 3)"]

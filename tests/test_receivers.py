@@ -268,11 +268,11 @@ def test_oselm_lambda_one_matches_batch():
     rng = np.random.default_rng(17)
     R0 = rng.standard_normal((40, 8))
     X0 = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
-    recv = oselm_init(R0, X0, 0.3, 1.0)
-    recv = oselm_update(recv, R0, X0)   # stream the same data again
+    state = oselm_init(R0, X0, 0.3, 1.0)
+    state = oselm_update(state, R0, X0)   # stream the same data again
     batch = train_natural_elm(np.vstack([R0, R0]),
                               np.vstack([X0, X0]), 0.3)
-    w = oselm_weights(recv)
+    w = oselm_weights(state, 0.3)
     assert np.allclose(w.beta_re, batch.beta_re, rtol=1e-8, atol=1e-10)
     assert np.allclose(w.beta_im, batch.beta_im, rtol=1e-8, atol=1e-10)
 
@@ -282,7 +282,7 @@ def test_oselm_init_is_the_batch_fit():
     rng = np.random.default_rng(21)
     R0 = rng.standard_normal((40, 8))
     X0 = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-    w = oselm_weights(oselm_init(R0, X0, 0.3, 0.98))
+    w = oselm_weights(oselm_init(R0, X0, 0.3, 0.98), 0.3)
     batch = train_natural_elm(R0, X0, 0.3)
     assert np.array_equal(w.beta_re, batch.beta_re)
     assert np.array_equal(w.beta_im, batch.beta_im)
@@ -292,20 +292,20 @@ def test_oselm_weights_carry_configured_gamma():
     rng = np.random.default_rng(20)
     R0 = rng.standard_normal((20, 4))
     X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
-    recv = oselm_init(R0, X0, 0.25, 0.98)
-    assert oselm_weights(recv).gamma == 0.25
-    recv = oselm_update(recv, R0[:5], X0[:5])
-    assert oselm_weights(recv).gamma == 0.25
+    state = oselm_init(R0, X0, 0.25, 0.98)
+    assert oselm_weights(state, 0.25).gamma == 0.25
+    state = oselm_update(state, R0[:5], X0[:5])
+    assert oselm_weights(state, 0.25).gamma == 0.25
 
 
 def test_oselm_empty_chunk_is_identity():
     rng = np.random.default_rng(18)
     R0 = rng.standard_normal((20, 4))
     X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
-    recv = oselm_init(R0, X0, 0.1, 0.98)
-    recv2 = oselm_update(recv, np.empty((0, 4)), np.empty((0, 1)))
-    assert np.array_equal(recv2.rls.G, recv.rls.G)
-    assert np.array_equal(recv2.rls.C, recv.rls.C)
+    state = oselm_init(R0, X0, 0.1, 0.98)
+    state2 = oselm_update(state, np.empty((0, 4)), np.empty((0, 1)))
+    assert np.array_equal(state2.G, state.G)
+    assert np.array_equal(state2.C, state.C)
 
 
 def test_oselm_static_channel_training_mse_non_increasing():
@@ -322,12 +322,12 @@ def test_oselm_static_channel_training_mse_non_increasing():
         return bias_quantize(transmit(H, x, sigma2, rng, None), adc), x
 
     R0, X0 = chunk(200)
-    recv = oselm_init(R0, X0, 1e-3, 0.98)
+    state = oselm_init(R0, X0, 1e-3, 0.98)
     Rc, Xc = chunk(100)
     mses = []
     for _ in range(10):
-        recv = oselm_update(recv, Rc, Xc)
-        est = elm_estimate(oselm_weights(recv), Rc)
+        state = oselm_update(state, Rc, Xc)
+        est = elm_estimate(oselm_weights(state, 1e-3), Rc)
         mses.append(np.mean(np.abs(est - Xc) ** 2))
     # non-increasing up to the tiny overshoot left from forgetting the
     # initialization block
