@@ -1,0 +1,98 @@
+"""What a config value may be: one type rule and one table of ranges,
+applied by the JSON loader (`typed`) and by each config dataclass to
+itself (`check`), so a bad value fails with a ValueError naming its key.
+The upper bounds keep every derived quantity finite."""
+from __future__ import annotations
+
+import math
+import numbers
+import sys
+from dataclasses import MISSING, fields, is_dataclass
+
+__all__ = ["BOUNDS", "MIN_CALIBRATION", "check", "check_keys", "typed"]
+
+MIN_CALIBRATION = 100   # the fewest real samples an ADC calibrates on
+POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
+
+# JSON key -> closed (lower, upper); a list's elements share its key
+BOUNDS = {
+    **dict.fromkeys((  # counts
+        "channel.n_antennas", "channel.n_users", "channel.n_rays",
+        "training_len", "payload_len", "preamble_len", "borrowed_hidden",
+        "trials", "adaptive.init_len", "adaptive.frame_training_len",
+        "adaptive.frame_data_len", "adaptive.n_frames",
+        "adaptive.benchmark_training_len"), (1, math.inf)),
+    **dict.fromkeys(("gamma.natural-elm", "gamma.borrowed-elm",
+                     "gamma.trained-zf", "gamma.oselm"), (0.0, math.inf)),
+    "master_seed": (0, math.inf),
+    "snr_db_list": (-300.0, 300.0),
+    "adc.bits": (1, 53),   # the significand of a float64 sample
+    "adc.headroom": (POSITIVE, 1e6),
+    "adc.bias_scale": (0.0, 1e6),
+    "channel.carrier_hz": (POSITIVE, 1e12),
+    "channel.symbol_duration_s": (POSITIVE, 1.0),
+    "channel.angular_spread_deg": (POSITIVE, 90.0),   # the ray-offset cutoff
+    "channel.velocity_mps": (0.0, 1e4),
+    # the visible region of the ULA
+    "channel.mean_aoa_range_rad": (-math.pi / 2, math.pi / 2),
+    **dict.fromkeys(("saleh.alpha_a", "saleh.eps_a", "saleh.eps_phi"),
+                    (POSITIVE, 1e3)),   # Saleh's coefficients are O(1)
+    "saleh.alpha_phi": (0.0, 1e3),
+    "adaptive.forgetting": (POSITIVE, 1.0),
+}
+
+
+def check_keys(d: dict, allowed, prefix: str = ""):
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
+
+
+def typed(value, default, key: str):
+    """A JSON value checked against the type of the default it replaces,
+    then its key's BOUNDS row; an object is checked key by key against a
+    default dataclass or dict; a float must be a finite float64."""
+    if is_dataclass(default) or isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key '{key}' must be an object, "
+                             f"got {value!r}")
+        template = vars(default) if is_dataclass(default) else default
+        check_keys(value, template, f"{key}.")
+        value = {k: typed(v, template[k], f"{key}.{k}")
+                 for k, v in value.items()}
+        return type(default)(**value) if is_dataclass(default) else value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key '{key}' must be a list, "
+                             f"got {value!r}")
+        return tuple(typed(v, default[0], key) for v in value)
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default),
+                                                          type(default))
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       != isinstance(default, bool)):
+        raise ValueError(f"config key '{key}' must be of type "
+                         f"{type(default).__name__}, got {value!r}")
+    if isinstance(default, float) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"config key '{key}' must be finite, got {value!r}")
+    lo, hi = BOUNDS.get(key, (value, value))   # no row, no bound
+    if not lo <= value <= hi:
+        need = "> 0" if lo == POSITIVE else f">= {lo:.17g}"
+        need += "" if hi == math.inf else f" and <= {hi:.17g}"
+        raise ValueError(f"config key '{key}' must be {need}, got {value!r}")
+    return value
+
+
+def check(obj, prefix: str = ""):
+    """`typed` on each field of config dataclass obj, keyed prefix + name
+    or by metadata; `| None` admits None; a nested config checked itself."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        key = f.metadata.get("key", prefix + f.name)
+        default = f.default_factory() if f.default is MISSING else f.default
+        if value is None and "None" in str(f.type):
+            continue
+        if not is_dataclass(default):
+            typed(value, default, key)
+        elif not isinstance(value, type(default)):
+            raise ValueError(f"config key '{key}' must be a "
+                             f"{type(default).__name__}, got {value!r}")

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
+from .bounds import check
+
 __all__ = [
     "ChannelConfig",
     "ChannelProcess",
@@ -34,18 +36,9 @@ class ChannelConfig:
     mean_aoa_range_rad: tuple = (-np.pi / 2, np.pi / 2)
 
     def __post_init__(self):
-        if self.n_antennas < self.n_users or self.n_users < 1:
-            raise ValueError(
-                "need channel.n_antennas >= channel.n_users >= 1")
-        if self.symbol_duration_s <= 0:
-            raise ValueError("channel.symbol_duration_s must be positive")
-        if self.n_rays < 1:
-            raise ValueError("channel.n_rays must be >= 1")
-        if not 0 < self.angular_spread_deg < np.inf:
-            raise ValueError(
-                "channel.angular_spread_deg must be positive and finite")
-        if self.velocity_mps < 0:
-            raise ValueError("channel.velocity_mps must be nonnegative")
+        check(self, "channel.")
+        if self.n_antennas < self.n_users:
+            raise ValueError("need channel.n_antennas >= channel.n_users")
         if len(self.mean_aoa_range_rad) != 2:
             raise ValueError("channel.mean_aoa_range_rad must hold two "
                              f"values, got {list(self.mean_aoa_range_rad)}")

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import MIN_CALIBRATION, check
+
 __all__ = [
     "Qam16",
     "QAM16",
@@ -94,9 +96,7 @@ class SalehParams:
     eps_phi: float = 2.82
 
     def __post_init__(self):
-        for name in ("eps_a", "eps_phi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"saleh.{name} must be positive")
+        check(self, "saleh.")
 
 
 def pa_distort(x, p: SalehParams):
@@ -214,8 +214,8 @@ def bias_quantize(y, adc: AdcConfig):
 def calibrate_adc(samples, bits: int, headroom: float = 3.0) -> AdcConfig:
     """Set the full scale to headroom times the RMS of a real preamble."""
     samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 100:
-        raise ValueError("need at least 100 calibration samples")
+    if samples.size < MIN_CALIBRATION:
+        raise ValueError(f"need at least {MIN_CALIBRATION} samples")
     rms = float(np.sqrt(np.mean(samples ** 2)))
     if rms == 0.0:
         raise ValueError("calibration samples are all zero")

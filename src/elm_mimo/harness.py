@@ -29,14 +29,14 @@ import numbers
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+from .bounds import MIN_CALIBRATION, check, check_keys, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
@@ -80,21 +80,16 @@ class AdaptiveConfig:
     benchmark_training_len: int = 3000
 
     def __post_init__(self):
-        for name in ("init_len", "frame_training_len", "frame_data_len",
-                     "n_frames", "benchmark_training_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"adaptive.{name} must be >= 1")
-        if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError("adaptive.forgetting must be in (0, 1]")
+        check(self, "adaptive.")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     saleh: SalehParams | None = field(default_factory=SalehParams)
-    adc_bits: int | None = 6
-    adc_headroom: float = 3.0
-    bias_scale: float = 0.1
+    adc_bits: int | None = field(default=6, metadata={"key": "adc.bits"})
+    adc_headroom: float = field(default=3.0, metadata={"key": "adc.headroom"})
+    bias_scale: float = field(default=0.1, metadata={"key": "adc.bias_scale"})
     snr_db_list: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     training_len: int = 3000
     payload_len: int = 20000
@@ -109,46 +104,20 @@ class ExperimentConfig:
     snr_reference: str = "post-pa"
 
     def __post_init__(self):
-        # the loader's type rule, applied to configs built in Python too
-        for f in fields(self):
-            value, key = getattr(self, f.name), _ADC_KEYS.get(f.name, f.name)
-            if value is None and f.name in ("saleh", "adc_bits"):
-                continue
-            default = (f.default if f.default is not MISSING
-                       else f.default_factory())
-            if is_dataclass(value) != is_dataclass(default):
-                raise ValueError(f"config key '{key}' must be a "
-                                 f"{type(default).__name__}, got {value!r}")
-            _typed(vars(value) if is_dataclass(value) else value, default, key)
+        check(self)
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be non-empty")
-        for name in ("training_len", "payload_len", "preamble_len",
-                     "trials", "borrowed_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        bad = set(self.receivers) - set(ALL_RECEIVERS)
-        if bad:
-            raise ValueError(f"unknown receivers: {sorted(bad)}")
-        if not 0 < len(self.receivers) == len(set(self.receivers)):
-            raise ValueError("receivers must be non-empty and name each "
-                             f"receiver once, got {list(self.receivers)}")
-        if self.adc_bits is not None and not 1 <= self.adc_bits <= 53:
-            raise ValueError("adc.bits must be in [1, 53], "
-                             f"got {self.adc_bits}")
-        if self.adc_headroom <= 0:
-            raise ValueError("adc.headroom must be positive, "
-                             f"got {self.adc_headroom}")
-        if self.bias_scale < 0:
-            raise ValueError("adc.bias_scale must be >= 0, "
-                             f"got {self.bias_scale}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0, "
-                             f"got {self.master_seed}")
-        for name, g in self.gamma.items():
-            if g < 0:
-                raise ValueError(f"gamma.{name} must be >= 0, got {g}")
+        if (not set(self.receivers) <= set(ALL_RECEIVERS)
+                or not 0 < len(self.receivers) == len(set(self.receivers))):
+            raise ValueError(f"receivers must name some of {ALL_RECEIVERS}"
+                             f", each once, got {list(self.receivers)}")
         if self.snr_reference not in ("post-pa", "pre-pa"):
             raise ValueError("snr_reference must be 'post-pa' or 'pre-pa'")
+        for key, n in (("preamble_len", self.preamble_len),
+                       ("adaptive.init_len", self.adaptive.init_len)):
+            if 2 * self.channel.n_antennas * n < MIN_CALIBRATION:
+                raise ValueError(f"config key '{key}' must make 2 * channel."
+                                 f"n_antennas * {key} >= {MIN_CALIBRATION}")
 
     def gamma_for(self, receiver: str) -> float:
         return self.gamma.get(receiver, 1.0)
@@ -165,52 +134,12 @@ def paper_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization.  The on-disk format is a strict JSON document
-# derived from the dataclass fields: unknown keys and values of the wrong
-# type are rejected with the offending key named, and a config built in
-# Python is held to the same type rule.
+# Config (de)serialization: a strict JSON document derived from the
+# dataclass fields, held to the type and range rule of `bounds`.
 
 # "adc" object key -> ExperimentConfig field
-_ADC_FIELDS = {"bits": "adc_bits", "headroom": "adc_headroom",
-               "bias_scale": "bias_scale"}
-_ADC_KEYS = {name: f"adc.{k}" for k, name in _ADC_FIELDS.items()}
-# a Python float, which compares with an integer of any size exactly
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _check_keys(d: dict, allowed, prefix: str = ""):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
-
-
-def _typed(value, default, key: str):
-    """A JSON value checked against the type of the default it replaces;
-    an object is checked key by key against a default dataclass or dict,
-    and a number replacing a float must be a finite float64."""
-    if is_dataclass(default) or isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"config key '{key}' must be an object, "
-                             f"got {value!r}")
-        template = vars(default) if is_dataclass(default) else default
-        _check_keys(value, template, f"{key}.")
-        value = {k: _typed(v, template[k], f"{key}.{k}")
-                 for k, v in value.items()}
-        return type(default)(**value) if is_dataclass(default) else value
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key '{key}' must be a list, "
-                             f"got {value!r}")
-        return tuple(_typed(v, default[0], key) for v in value)
-    kind = {int: numbers.Integral, float: numbers.Real}.get(type(default),
-                                                          type(default))
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       != isinstance(default, bool)):
-        raise ValueError(f"config key '{key}' must be of type "
-                         f"{type(default).__name__}, got {value!r}")
-    if isinstance(default, float) and not abs(value) <= _FLOAT_MAX:
-        raise ValueError(f"config key '{key}' must be finite, got {value!r}")
-    return value
+_ADC_FIELDS = {f.metadata["key"].removeprefix("adc."): f.name
+               for f in fields(ExperimentConfig) if f.metadata}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -219,7 +148,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     defaults = dict(vars(ExperimentConfig()))
     defaults["adc"] = {k: defaults.pop(name)
                        for k, name in _ADC_FIELDS.items()}
-    _check_keys(data, defaults)
+    check_keys(data, defaults)
     kwargs = {}
     for key, value in data.items():
         if key == "saleh" and value == "bypass":
@@ -231,13 +160,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if isinstance(value, dict) and value.get("bits", 0) is None:
                 value = {k: v for k, v in value.items() if k != "bits"}
                 kwargs["adc_bits"] = None
-            adc = _typed(value, defaults["adc"], "adc")
+            adc = typed(value, defaults["adc"], "adc")
             kwargs.update((_ADC_FIELDS[k], v) for k, v in adc.items())
         elif key == "gamma" and not isinstance(value, dict):
             kwargs["gamma"] = dict.fromkeys(
-                defaults["gamma"], float(_typed(value, 1.0, "gamma")))
+                defaults["gamma"], float(typed(value, 1.0, "gamma")))
         else:
-            kwargs[key] = _typed(value, defaults[key], key)
+            kwargs[key] = typed(value, defaults[key], key)
     return ExperimentConfig(**kwargs)
 
 

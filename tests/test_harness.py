@@ -4,6 +4,7 @@ import ctypes
 import inspect
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elm_mimo import cli, harness
+from elm_mimo.bounds import BOUNDS
 from elm_mimo.channel import ChannelConfig
 from elm_mimo.frontend import SalehParams
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
@@ -536,8 +538,8 @@ def test_config_wrong_type_names_key(data, key):
 
 @pytest.mark.parametrize("overrides, key", [
     ({"trials": 1.5}, "trials"),
-    ({"channel": ChannelConfig(n_antennas=64.5)}, "channel.n_antennas"),
-    ({"adaptive": AdaptiveConfig(n_frames=2.5)}, "adaptive.n_frames"),
+    ({"channel": {"n_antennas": 64}}, "channel"),
+    ({"adaptive": 2.5}, "adaptive"),
     ({"training_len": "5"}, "training_len"),
     ({"snr_db_list": ("a",)}, "snr_db_list"),
     ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
@@ -546,6 +548,20 @@ def test_config_wrong_type_names_key(data, key):
 def test_config_built_in_python_wrong_type_names_key(overrides, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
         replace(desk_config(), **overrides)
+
+
+# a nested config checks itself when it is built, before any
+# ExperimentConfig holds it
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (ChannelConfig, {"n_antennas": 64.5}, "channel.n_antennas"),
+    (AdaptiveConfig, {"n_frames": 2.5}, "adaptive.n_frames"),
+    (ChannelConfig, {"n_rays": "5"}, "channel.n_rays"),
+    (AdaptiveConfig, {"n_frames": "2"}, "adaptive.n_frames"),
+    (SalehParams, {"eps_a": "x"}, "saleh.eps_a"),
+])
+def test_nested_config_constructor_wrong_type_names_key(cls, kwargs, key):
+    with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
+        cls(**kwargs)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -574,6 +590,25 @@ OUT_OF_RANGE = [
     ({"channel": {"n_antennas": 4}}, "channel.n_antennas"),
     ({"saleh": {"eps_a": 0.0}}, "saleh.eps_a"),
     ({"adc": {"bits": 1100}}, "adc.bits"),
+    # finite values whose derived quantities overflow, or a draw that
+    # never ends, without an upper bound
+    ({"snr_db_list": [1e308]}, "snr_db_list"),
+    ({"snr_db_list": [-1e308]}, "snr_db_list"),
+    ({"adc": {"bias_scale": 1e308}}, "adc.bias_scale"),
+    ({"channel": {"mean_aoa_range_rad": [1e308, -1e308]}},
+     "channel.mean_aoa_range_rad"),
+    ({"adc": {"headroom": 1e308}}, "adc.headroom"),
+    ({"saleh": {"alpha_a": 1e308}}, "saleh.alpha_a"),
+    ({"saleh": {"alpha_phi": 1e308}}, "saleh.alpha_phi"),
+    ({"channel": {"velocity_mps": 1e308}}, "channel.velocity_mps"),
+    ({"channel": {"angular_spread_deg": 1e308}},
+     "channel.angular_spread_deg"),
+    # too few calibration samples: 2 * 16 * 1 < 100
+    ({"channel": {"n_antennas": 16}, "preamble_len": 1}, "preamble_len"),
+    ({"channel": {"n_antennas": 16}, "adaptive": {"init_len": 1}},
+     "adaptive.init_len"),
+    ({"saleh": {"alpha_a": 0.0}}, "saleh.alpha_a"),
+    ({"channel": {"carrier_hz": 0.0}}, "channel.carrier_hz"),
 ]
 
 
@@ -599,12 +634,13 @@ _channels = st.integers(1, 8).flatmap(lambda k: st.builds(
     carrier_hz=_finite(1.0, 1e11), symbol_duration_s=_finite(1e-9, 1.0),
     angular_spread_deg=_finite(1e-3, 90.0), n_rays=st.integers(1, 16),
     velocity_mps=_finite(0.0, 1e3),
-    mean_aoa_range_rad=st.tuples(_finite(-4.0, 4.0), _finite(-4.0, 4.0))))
+    mean_aoa_range_rad=st.tuples(_finite(-math.pi / 2, math.pi / 2),
+                                 _finite(-math.pi / 2, math.pi / 2))))
 
 _configs = st.builds(
     ExperimentConfig,
     channel=_channels,
-    saleh=st.none() | st.builds(SalehParams, alpha_a=_finite(0.0, 10.0),
+    saleh=st.none() | st.builds(SalehParams, alpha_a=_finite(1e-3, 10.0),
                                 eps_a=_finite(1e-3, 10.0),
                                 alpha_phi=_finite(0.0, 10.0),
                                 eps_phi=_finite(1e-3, 10.0)),
@@ -615,7 +651,7 @@ _configs = st.builds(
                          max_size=6).map(tuple),
     training_len=st.integers(1, 10**6),
     payload_len=st.integers(1, 10**6),
-    preamble_len=st.integers(1, 10**6),
+    preamble_len=st.integers(50, 10**6),
     receivers=st.permutations(ALL_RECEIVERS).flatmap(
         lambda names: st.integers(1, len(names)).map(
             lambda n: tuple(names[:n]))),
@@ -623,7 +659,7 @@ _configs = st.builds(
         st.sampled_from(("natural-elm", "borrowed-elm", "trained-zf",
                          "oselm")), _finite(0.0, 1e3)),
     borrowed_hidden=st.integers(1, 4096),
-    adaptive=st.builds(AdaptiveConfig, init_len=st.integers(1, 10**5),
+    adaptive=st.builds(AdaptiveConfig, init_len=st.integers(50, 10**5),
                        frame_training_len=st.integers(1, 10**5),
                        frame_data_len=st.integers(1, 10**5),
                        forgetting=_finite(1e-3, 1.0),
@@ -641,6 +677,34 @@ def test_config_round_trip_property(cfg):
     assert config_from_dict(config_to_dict(cfg)) == cfg
     # and through the JSON text a config file holds
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+# the upper bound of each bounded float key, as the README gives it
+_UPPER = {"snr_db_list": 300.0, "adc.headroom": 1e6, "adc.bias_scale": 1e6,
+          "saleh.alpha_a": 1e3, "saleh.eps_a": 1e3, "saleh.alpha_phi": 1e3,
+          "saleh.eps_phi": 1e3, "channel.carrier_hz": 1e12,
+          "channel.symbol_duration_s": 1.0, "channel.velocity_mps": 1e4,
+          "channel.angular_spread_deg": 90.0,
+          "channel.mean_aoa_range_rad": math.pi / 2,
+          "adaptive.forgetting": 1.0}
+# the float keys that must be > 0
+_POSITIVE = ("adc.headroom", "saleh.alpha_a", "saleh.eps_a", "saleh.eps_phi",
+             "channel.carrier_hz", "channel.symbol_duration_s",
+             "channel.angular_spread_deg", "adaptive.forgetting")
+
+
+def _setting(key, v):
+    """The JSON config that sets key to v, or a list key to hold v."""
+    if key == "snr_db_list":
+        return {key: [v]}
+    section, name = key.split(".")
+    return {section: {name: [0.0, v] if name == "mean_aoa_range_rad" else v}}
+
+
+def _above(keys):
+    """(key, a value above the key's upper bound), the key drawn from keys."""
+    return st.sampled_from(keys).flatmap(lambda k: st.floats(
+        _UPPER[k], 1e308, exclude_min=True).map(lambda v: (k, v)))
 
 
 _bad_gamma = (st.floats(max_value=0.0, exclude_max=True)
@@ -669,7 +733,13 @@ _out_of_range = st.one_of(
     st.tuples(st.lists(_finite(-30.0, 60.0), max_size=3),
               st.sampled_from((math.inf, -math.inf, math.nan)),
               st.lists(_finite(-30.0, 60.0), max_size=3)).map(
-        lambda p: ({"snr_db_list": p[0] + [p[1]] + p[2]}, "snr_db_list")))
+        lambda p: ({"snr_db_list": p[0] + [p[1]] + p[2]}, "snr_db_list")),
+    _above(sorted(_UPPER)).map(lambda kv: (_setting(*kv), kv[0])),
+    # the two ranges symmetric about 0, past their lower bound
+    _above(["snr_db_list", "channel.mean_aoa_range_rad"]).map(
+        lambda kv: (_setting(kv[0], -kv[1]), kv[0])),
+    st.sampled_from(_POSITIVE).flatmap(lambda k: st.floats(
+        -1e308, 0.0).map(lambda v: (_setting(k, v), k))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,6 +748,25 @@ def test_config_out_of_range_property(case):
     data, key = case
     with pytest.raises(ValueError, match=re.escape(key)):
         config_from_dict(data)
+
+
+def _numeric_leaf_keys(d, prefix=""):
+    """The dotted keys of d's numeric leaves; list elements share their
+    list's key."""
+    keys = set()
+    for k, v in d.items():
+        if isinstance(v, dict):
+            keys |= _numeric_leaf_keys(v, f"{prefix}{k}.")
+        elif any(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                 for x in (v if isinstance(v, list) else [v])):
+            keys.add(prefix + k)
+    return keys
+
+
+def test_bounds_rows_are_the_numeric_config_keys():
+    # a misspelt row would leave its key unbounded and raise nothing;
+    # desk_config() sets every gamma.<receiver>
+    assert set(BOUNDS) == _numeric_leaf_keys(config_to_dict(desk_config()))
 
 
 def test_config_root_must_be_object():
