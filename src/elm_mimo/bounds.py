@@ -13,6 +13,9 @@ __all__ = ["BOUNDS", "MIN_CALIBRATION", "check", "check_keys", "typed"]
 
 MIN_CALIBRATION = 100   # the fewest real samples an ADC calibrates on
 POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
+# the least scale or Saleh coefficient: a subnormal one underflows the
+# quantizer step or the calibration samples to 0
+FLOOR = 1e-6
 
 # JSON key -> closed (lower, upper); a list's elements share its key
 BOUNDS = {
@@ -27,7 +30,7 @@ BOUNDS = {
     "master_seed": (0, math.inf),
     "snr_db_list": (-300.0, 300.0),
     "adc.bits": (1, 53),   # the significand of a float64 sample
-    "adc.headroom": (POSITIVE, 1e6),
+    "adc.headroom": (FLOOR, 1e6),
     "adc.bias_scale": (0.0, 1e6),
     "channel.carrier_hz": (POSITIVE, 1e12),
     "channel.symbol_duration_s": (POSITIVE, 1.0),
@@ -36,7 +39,7 @@ BOUNDS = {
     # the visible region of the ULA
     "channel.mean_aoa_range_rad": (-math.pi / 2, math.pi / 2),
     **dict.fromkeys(("saleh.alpha_a", "saleh.eps_a", "saleh.eps_phi"),
-                    (POSITIVE, 1e3)),   # Saleh's coefficients are O(1)
+                    (FLOOR, 1e3)),   # Saleh's coefficients are O(1)
     "saleh.alpha_phi": (0.0, 1e3),
     "adaptive.forgetting": (POSITIVE, 1.0),
 }
@@ -76,8 +79,8 @@ def typed(value, default, key: str):
         raise ValueError(f"config key '{key}' must be finite, got {value!r}")
     lo, hi = BOUNDS.get(key, (value, value))   # no row, no bound
     if not lo <= value <= hi:
-        need = "> 0" if lo == POSITIVE else f">= {lo:.17g}"
-        need += "" if hi == math.inf else f" and <= {hi:.17g}"
+        need = "> 0" if lo == POSITIVE else f">= {lo!r}"
+        need += "" if hi == math.inf else f" and <= {hi!r}"
         raise ValueError(f"config key '{key}' must be {need}, got {value!r}")
     return value
 

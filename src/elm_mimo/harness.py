@@ -30,7 +30,7 @@ import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +365,18 @@ def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
 ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 
 
+def _oselm_weights(state, gamma: float):
+    """oselm_weights, a singular solve named by the keys that set it."""
+    try:
+        return oselm_weights(state, gamma)
+    except ValueError as exc:
+        raise ValueError(
+            "singular OS-ELM normal equations: each update scales the "
+            "state by adaptive.forgetting, so the regularization fades; "
+            f"raise config key 'adaptive.forgetting' (now {state.lam!r}) "
+            f"or 'gamma.oselm' (now {gamma!r})") from exc
+
+
 def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     t = _Trial(cfg, trial)
     proc = draw_process(cfg.channel, t.channel_seed)
@@ -380,7 +392,7 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     _, x0, y0 = t.send(ad.init_len)
     adc = t.calibrate(y0)
     state = oselm_init(bias_quantize(y0, adc), x0, gamma, ad.forgetting)
-    frozen_w = oselm_weights(state, gamma)
+    frozen_w = _oselm_weights(state, gamma)
 
     frame_len = ad.frame_training_len + ad.frame_data_len
     for f in range(ad.n_frames):
@@ -396,8 +408,8 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
         # of the noise draws
         labels, _, y = t.send(ad.frame_data_len)
         r = bias_quantize(y, adc)
-        for name, w in zip(ADAPTIVE_VARIANTS,
-                           (oselm_weights(state, gamma), bench_w, frozen_w)):
+        oselm_w = _oselm_weights(state, gamma)
+        for name, w in zip(ADAPTIVE_VARIANTS, (oselm_w, bench_w, frozen_w)):
             t.detect_and_count((name, snr_db, f), detect_natural_elm, w, r,
                                labels)
     return t.counts
@@ -407,11 +419,9 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
 # Runners: parallel trial execution + order-independent merge
 
 
-def _pool_shape(n_jobs: int, trials: int, nproc: int):
-    """(worker processes, BLAS threads per worker) for `trials` trials
-    over `n_jobs` requested workers on `nproc` cores."""
-    workers = min(n_jobs, trials, nproc)
-    return workers, max(1, nproc // workers)
+def _pool_shape(n_jobs: int, trials: int, nproc: int) -> int:
+    """Worker processes: at most n_jobs, one per trial and per core."""
+    return min(n_jobs, trials, nproc)
 
 
 def _cpu_count() -> int:
@@ -422,15 +432,19 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Thread-count setters of the OpenBLAS copies bundled in numpy.libs
-# (64-bit integer interface) and scipy.libs.
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads")
+# thread-count (getter, setter): numpy's OpenBLAS (64-bit ints), scipy's
+_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_",
+                      "scipy_openblas_set_num_threads64_"),
+                     ("scipy_openblas_get_num_threads",
+                      "scipy_openblas_set_num_threads"))
+_GETTER = ctypes.CFUNCTYPE(ctypes.c_int)
+_SETTER = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
-def _loaded_openblas():
+@cache
+def _loaded_openblas() -> tuple:
     """Handles of the OpenBLAS copies numpy and scipy bundle and have
-    loaded into this process; none under MKL or a system BLAS."""
+    loaded into this process, found once; none under MKL or a system BLAS."""
     libs = []
     for package in (np, scipy):
         libdir = (Path(package.__file__).parent.parent
@@ -441,25 +455,23 @@ def _loaded_openblas():
                     str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
             except OSError:  # bundled but not loaded
                 continue
-    return libs
+    return tuple(libs)
 
 
-def _set_blas_threads(n: int):
-    """Pool initializer: size this worker's BLAS thread pools to n, so the
-    workers together use no more threads than there are cores."""
-    for lib in _loaded_openblas():
-        for name in _OPENBLAS_SETTERS:
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(n)
-
-
-def _trial_pool(workers: int, blas_threads: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers,
-                               initializer=_set_blas_threads,
-                               initargs=(blas_threads,))
+def _pinned(worker, cfg: ExperimentConfig, trial: int) -> dict:
+    """worker(cfg, trial) with each bundled OpenBLAS on one thread, given
+    back its count after: a second thread per library only spin-waits."""
+    pins = [(_GETTER((get, lib)), _SETTER((put, lib)))
+            for lib in _loaded_openblas() for get, put in _OPENBLAS_THREADS
+            if hasattr(lib, get) and hasattr(lib, put)]
+    before = [get() for get, _ in pins]
+    for _, put in pins:
+        put(1)
+    try:
+        return worker(cfg, trial)
+    finally:
+        for (_, put), n in zip(pins, before):
+            put(n)
 
 
 def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
@@ -467,13 +479,13 @@ def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
     if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
             or n_jobs < 1):
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
-    workers, blas_threads = _pool_shape(n_jobs, cfg.trials, _cpu_count())
+    workers = _pool_shape(n_jobs, cfg.trials, _cpu_count())
     if workers > 1:
-        with _trial_pool(workers, blas_threads) as pool:
-            results = list(pool.map(worker, [cfg] * cfg.trials,
-                                    range(cfg.trials)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(partial(_pinned, worker),
+                                    [cfg] * cfg.trials, range(cfg.trials)))
     else:
-        results = [worker(cfg, t) for t in range(cfg.trials)]
+        results = [_pinned(worker, cfg, t) for t in range(cfg.trials)]
     merged = {}
     for counts in results:
         for key, (sym, err) in counts.items():

@@ -8,9 +8,11 @@ import numbers
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from elm_mimo import cli, harness
@@ -307,27 +309,33 @@ def test_adaptive_parallel_determinism():
     assert run_adaptive(cfg, n_jobs=1) == run_adaptive(cfg, n_jobs=3)
 
 
+def _fading_config():
+    """Forgetting so fast that the OS-ELM's regularization fades out and
+    its normal equations turn singular within the first frame."""
+    return _small_config(adaptive=AdaptiveConfig(forgetting=0.1,
+                                                 n_frames=1))
+
+
+def test_adaptive_singular_solve_names_its_keys(tmp_path, capsys):
+    with pytest.raises(ValueError, match="'adaptive.forgetting'.*"
+                                         "'gamma.oselm'"):
+        run_adaptive(_fading_config())
+    cfg_path = tmp_path / "cfg.json"
+    save_config(_fading_config(), cfg_path)
+    out = tmp_path / "o.csv"
+    rc = cli.main(["adaptive", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'adaptive.forgetting'" in err and "'gamma.oselm'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [run_ser_sweep, run_bias_ablation,
                                  run_adaptive])
 @pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", True])
 def test_runners_reject_bad_n_jobs(run, n_jobs):
     with pytest.raises(ValueError, match="n_jobs"):
         run(_small_config(), n_jobs=n_jobs)
-
-
-@pytest.mark.parametrize("n_jobs, trials, nproc, shape", [
-    (1, 8, 4, (1, 4)),
-    (2, 8, 4, (2, 2)),
-    (3, 8, 4, (3, 1)),
-    (64, 8, 4, (4, 1)),     # capped by the cores
-    (64, 2, 4, (2, 2)),     # capped by the trials
-    (2, 1, 4, (1, 4)),      # one trial never needs a pool
-    (4, 8, 1, (1, 1)),
-    (10**6, 10**6, 2, (2, 1)),
-])
-def test_pool_shape_caps_workers_and_splits_cores(n_jobs, trials, nproc,
-                                                  shape):
-    assert harness._pool_shape(n_jobs, trials, nproc) == shape
 
 
 _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
@@ -347,23 +355,101 @@ def _blas_threads():
     return counts
 
 
-def _worker_blas_threads(_):
-    return os.getpid(), _blas_threads()
+@pytest.mark.parametrize("n_jobs, trials, nproc, shape", [
+    (1, 8, 4, (1, 1)),
+    (2, 8, 4, (2, 1)),
+    (3, 8, 4, (3, 1)),
+    (64, 8, 4, (4, 1)),     # capped by the cores
+    (64, 2, 4, (2, 1)),     # capped by the trials
+    (2, 1, 4, (1, 1)),      # one trial never needs a pool
+    (4, 8, 1, (1, 1)),
+    (10**6, 10**6, 2, (2, 1)),
+])
+def test_pool_shape_caps_workers_and_splits_cores(n_jobs, trials, nproc,
+                                                  shape):
+    # shape = (workers, BLAS threads per trial): the cores are split
+    # between trials, so a trial runs on one BLAS thread in any shape
+    seen = harness._pinned(lambda cfg, t: set(_blas_threads()), None, 0)
+    assert (harness._pool_shape(n_jobs, trials, nproc),
+            max(seen, default=1)) == shape
+
+
+def _needs_openblas():
+    if not _blas_threads():
+        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
+
+
+def _trial_blas_threads(cfg, trial):
+    """A trial that reports its process and the BLAS thread counts it
+    runs under, as a record key."""
+    return {(os.getpid(), tuple(_blas_threads())): (1, 0)}
+
+
+def _threads_in_trials(n_jobs):
+    """{(pid, BLAS thread counts)} seen inside the trials of one run."""
+    recs = harness._run_trials("blas", _trial_blas_threads,
+                               _small_config(trials=4), n_jobs)
+    return {(r.receiver, r.snr_db) for r in recs}
+
+
+def test_serial_trials_run_on_one_blas_thread():
+    _needs_openblas()
+    before = _blas_threads()
+    assert _threads_in_trials(1) == {(os.getpid(), (1,) * len(before))}
+    assert _blas_threads() == before
 
 
 def test_pool_workers_get_their_share_of_blas_threads():
+    _needs_openblas()
     before = _blas_threads()
-    if not before:
-        pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
-    nproc = harness._cpu_count()
-    workers, threads = harness._pool_shape(2, 2, nproc)
-    assert threads == max(1, nproc // workers)
-    with harness._trial_pool(workers, threads) as pool:
-        seen = list(pool.map(_worker_blas_threads, range(4)))
-    for pid, counts in seen:
-        assert pid != os.getpid()
-        assert counts == [threads] * len(before)
+    seen = _threads_in_trials(2)
+    assert {counts for _, counts in seen} == {(1,) * len(before)}
+    if harness._cpu_count() > 1:
+        assert os.getpid() not in {pid for pid, _ in seen}
     assert _blas_threads() == before
+
+
+def test_loaded_openblas_finds_both_bundled_copies():
+    # the pin would silently do nothing if the wheels renamed them
+    for package in (np, scipy):
+        blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            continue
+        libdir = f"{package.__name__}.libs"
+        assert any(Path(lib._name).parent.name == libdir
+                   for lib in harness._loaded_openblas()), libdir
+
+
+@pytest.fixture(params=[1, 2])
+def caller_blas_threads(request):
+    """The caller's BLAS thread counts, set to 1 or 2 for the test."""
+    _needs_openblas()
+    original = _blas_threads()
+    setters = [harness._SETTER((n.replace("_get_", "_set_"), lib))
+               for lib in harness._loaded_openblas()
+               for n in _OPENBLAS_GETTERS if hasattr(lib, n)]
+    for put in setters:
+        put(request.param)
+    yield _blas_threads()
+    for put, n in zip(setters, original):
+        put(n)
+
+
+@pytest.mark.parametrize("run", [run_ser_sweep, run_adaptive])
+def test_runs_give_the_caller_its_blas_threads_back(caller_blas_threads,
+                                                   run):
+    cfg = _small_config(trials=1, snr_db_list=(10.0,), payload_len=200,
+                        adaptive=AdaptiveConfig(n_frames=1))
+    run(cfg)
+    assert _blas_threads() == caller_blas_threads
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_failed_trial_gives_the_caller_its_blas_threads_back(
+        caller_blas_threads, n_jobs):
+    with pytest.raises(ValueError, match="adaptive.forgetting"):
+        run_adaptive(_fading_config(), n_jobs=n_jobs)
+    assert _blas_threads() == caller_blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +695,9 @@ OUT_OF_RANGE = [
      "adaptive.init_len"),
     ({"saleh": {"alpha_a": 0.0}}, "saleh.alpha_a"),
     ({"channel": {"carrier_hz": 0.0}}, "channel.carrier_hz"),
+    # subnormal: the quantizer step, or the calibration samples, become 0
+    ({"adc": {"headroom": 1e-320}}, "adc.headroom"),
+    ({"saleh": {"alpha_a": 5e-324}}, "saleh.alpha_a"),
 ]
 
 
@@ -687,6 +776,9 @@ _UPPER = {"snr_db_list": 300.0, "adc.headroom": 1e6, "adc.bias_scale": 1e6,
           "channel.angular_spread_deg": 90.0,
           "channel.mean_aoa_range_rad": math.pi / 2,
           "adaptive.forgetting": 1.0}
+# the lower bound of each key with a floor above 0, as the README gives it
+_FLOOR = dict.fromkeys(("adc.headroom", "saleh.alpha_a", "saleh.eps_a",
+                        "saleh.eps_phi"), 1e-6)
 # the float keys that must be > 0
 _POSITIVE = ("adc.headroom", "saleh.alpha_a", "saleh.eps_a", "saleh.eps_phi",
              "channel.carrier_hz", "channel.symbol_duration_s",
@@ -739,7 +831,9 @@ _out_of_range = st.one_of(
     _above(["snr_db_list", "channel.mean_aoa_range_rad"]).map(
         lambda kv: (_setting(kv[0], -kv[1]), kv[0])),
     st.sampled_from(_POSITIVE).flatmap(lambda k: st.floats(
-        -1e308, 0.0).map(lambda v: (_setting(k, v), k))))
+        -1e308, 0.0).map(lambda v: (_setting(k, v), k))),
+    st.sampled_from(sorted(_FLOOR)).flatmap(lambda k: st.floats(
+        0.0, _FLOOR[k], exclude_max=True).map(lambda v: (_setting(k, v), k))))
 
 
 @settings(max_examples=200, deadline=None)
