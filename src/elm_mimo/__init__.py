@@ -18,8 +18,8 @@ from .receivers import (BorrowedElmModel, RealImagWeights,
                         oselm_init, oselm_update, oselm_weights,
                         train_borrowed_elm, train_natural_elm,
                         train_zf_direct, zf_weights)
-from .harness import (AdaptiveConfig, ExperimentConfig, SerRecord,
-                      desk_config, load_config, paper_config,
+from .harness import (AdaptiveConfig, ConverterConfig, ExperimentConfig,
+                      SerRecord, desk_config, load_config, paper_config,
                       run_adaptive, run_bias_ablation, run_ser_sweep,
                       write_csv)
 

@@ -1,7 +1,9 @@
 """What a config value may be: one type rule and one table of ranges,
-applied by the JSON loader (`typed`) and by each config dataclass to
-itself (`check`), so a bad value fails with a ValueError naming its key.
-The upper bounds keep every derived quantity finite."""
+so a bad value fails with a ValueError naming its key.  The JSON loader
+builds the whole config tree with `typed`; each config dataclass checks
+itself with `check`, which is also where a JSON null is judged: it is
+admitted exactly where the field type is `... | None`.  The upper bounds
+keep every derived quantity finite."""
 from __future__ import annotations
 
 import math
@@ -9,7 +11,7 @@ import numbers
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 
-__all__ = ["BOUNDS", "MIN_CALIBRATION", "check", "check_keys", "typed"]
+__all__ = ["BOUNDS", "MIN_CALIBRATION", "check", "typed"]
 
 MIN_CALIBRATION = 100   # the fewest real samples an ADC calibrates on
 POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
@@ -45,23 +47,23 @@ BOUNDS = {
 }
 
 
-def check_keys(d: dict, allowed, prefix: str = ""):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
-
-
 def typed(value, default, key: str):
     """A JSON value checked against the type of the default it replaces,
     then its key's BOUNDS row; an object is checked key by key against a
-    default dataclass or dict; a float must be a finite float64."""
+    default dataclass, which it builds (a null is left to the dataclass's
+    own check), or dict; an empty key makes the child keys unprefixed; a
+    float must be a finite float64."""
     if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key '{key}' must be an object, "
                              f"got {value!r}")
         template = vars(default) if is_dataclass(default) else default
-        check_keys(value, template, f"{key}.")
-        value = {k: typed(v, template[k], f"{key}.{k}")
+        prefix = f"{key}." if key else ""
+        unknown = set(value) - set(template)
+        if unknown:
+            raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
+        value = {k: v if v is None and is_dataclass(default)
+                 else typed(v, template[k], prefix + k)
                  for k, v in value.items()}
         return type(default)(**value) if is_dataclass(default) else value
     if isinstance(default, tuple):
@@ -86,11 +88,11 @@ def typed(value, default, key: str):
 
 
 def check(obj, prefix: str = ""):
-    """`typed` on each field of config dataclass obj, keyed prefix + name
-    or by metadata; `| None` admits None; a nested config checked itself."""
+    """`typed` on each field of config dataclass obj, keyed prefix + name;
+    `| None` admits None; a nested config checked itself."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        key = f.metadata.get("key", prefix + f.name)
+        key = prefix + f.name
         default = f.default_factory() if f.default is MISSING else f.default
         if value is None and "None" in str(f.type):
             continue

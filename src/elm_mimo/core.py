@@ -37,13 +37,14 @@ def gram(Z: np.ndarray, gamma: float) -> np.ndarray:
 
 def factor(G: np.ndarray, gamma: float | None = None):
     """Lower Cholesky factor of a normal-equation matrix G, for
-    cho_solve; a singular G raises ValueError, naming gamma if G is
-    gram(Z, gamma), instead of falling back to a pseudo-inverse."""
+    cho_solve; a singular G raises LinAlgError (a ValueError), naming
+    gamma if G is gram(Z, gamma), instead of falling back to a
+    pseudo-inverse."""
     try:
         return cho_factor(G, lower=True)
     except LinAlgError as exc:
         where = "" if gamma is None else " (gamma=%g)" % gamma
-        raise ValueError(
+        raise LinAlgError(
             "singular normal equations%s; increase the regularization or "
             "provide more samples" % where) from exc
 

@@ -2,6 +2,10 @@
 SER sweep, the bias/quantization ablation and the adaptive tracking
 experiment, and CSV emission.
 
+A config is a tree of frozen dataclasses that check themselves; its
+JSON document is the same tree, written by `asdict` and loaded by one
+`bounds.typed` call.
+
 The quasi-static experiments share one trial engine.  A receiver is an
 arm: a converter plus a readout (train, detect) from the `_RECEIVERS`
 table that reads the converter's biased quantized stack or its unbiased
@@ -29,14 +33,14 @@ import numbers
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .bounds import MIN_CALIBRATION, check, check_keys, typed
+from .bounds import MIN_CALIBRATION, check, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
@@ -49,6 +53,7 @@ from .receivers import (detect_linear, detect_natural_elm,
 
 __all__ = [
     "AdaptiveConfig",
+    "ConverterConfig",
     "ExperimentConfig",
     "desk_config",
     "paper_config",
@@ -84,12 +89,22 @@ class AdaptiveConfig:
 
 
 @dataclass(frozen=True)
+class ConverterConfig:
+    """The ADC array, the ELM's activation: bits (None: no quantizer), full
+    scale headroom x the calibration RMS, biases within +-bias_scale."""
+    bits: int | None = 6
+    headroom: float = 3.0
+    bias_scale: float = 0.1
+
+    def __post_init__(self):
+        check(self, "adc.")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     saleh: SalehParams | None = field(default_factory=SalehParams)
-    adc_bits: int | None = field(default=6, metadata={"key": "adc.bits"})
-    adc_headroom: float = field(default=3.0, metadata={"key": "adc.headroom"})
-    bias_scale: float = field(default=0.1, metadata={"key": "adc.bias_scale"})
+    adc: ConverterConfig = field(default_factory=ConverterConfig)
     snr_db_list: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     training_len: int = 3000
     payload_len: int = 20000
@@ -134,54 +149,29 @@ def paper_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Config (de)serialization: a strict JSON document derived from the
-# dataclass fields, held to the type and range rule of `bounds`.
-
-# "adc" object key -> ExperimentConfig field
-_ADC_FIELDS = {f.metadata["key"].removeprefix("adc."): f.name
-               for f in fields(ExperimentConfig) if f.metadata}
+# Config (de)serialization: the JSON document is the dataclass tree, held
+# to the type and range rule of `bounds`.
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    defaults = dict(vars(ExperimentConfig()))
-    defaults["adc"] = {k: defaults.pop(name)
-                       for k, name in _ADC_FIELDS.items()}
-    check_keys(data, defaults)
-    kwargs = {}
-    for key, value in data.items():
-        if key == "saleh" and value == "bypass":
-            kwargs["saleh"] = None
-        elif key == "adc":
-            # "ideal" is short for {"bits": null}, the unquantized converter
-            if value == "ideal":
-                value = {"bits": None}
-            if isinstance(value, dict) and value.get("bits", 0) is None:
-                value = {k: v for k, v in value.items() if k != "bits"}
-                kwargs["adc_bits"] = None
-            adc = typed(value, defaults["adc"], "adc")
-            kwargs.update((_ADC_FIELDS[k], v) for k, v in adc.items())
-        elif key == "gamma" and not isinstance(value, dict):
-            kwargs["gamma"] = dict.fromkeys(
-                defaults["gamma"], float(typed(value, 1.0, "gamma")))
-        else:
-            kwargs[key] = typed(value, defaults[key], key)
-    return ExperimentConfig(**kwargs)
+    data = dict(data)
+    if data.get("saleh") == "bypass":
+        data["saleh"] = None
+    if data.get("adc") == "ideal":   # the unquantized converter
+        data["adc"] = {"bits": None}
+    if not isinstance(data.get("gamma", {}), dict):   # one gamma for all
+        data["gamma"] = dict.fromkeys(
+            TRAINED, float(typed(data["gamma"], 1.0, "gamma")))
+    return typed(data, ExperimentConfig(), "")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = {}
-    for key, value in asdict(cfg, dict_factory=lambda items: {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in items}).items():
-        if key == "saleh" and value is None:
-            data["saleh"] = "bypass"
-        elif key == "adc_bits":
-            data["adc"] = {k: getattr(cfg, name)
-                           for k, name in _ADC_FIELDS.items()}
-        elif key not in _ADC_FIELDS.values():
-            data[key] = value
+    data = asdict(cfg, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})
+    if cfg.saleh is None:
+        data["saleh"] = "bypass"
     return data
 
 
@@ -260,12 +250,29 @@ class _Trial:
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
         (unused by an ideal converter) and fresh per-antenna biases."""
-        cfg = self.cfg
-        b_re, b_im = self.biases.uniform(-cfg.bias_scale, cfg.bias_scale,
-                                         (2, cfg.channel.n_antennas))
-        adc = (ideal_adc() if cfg.adc_bits is None else
-               calibrate_adc(real_stack(y), cfg.adc_bits, cfg.adc_headroom))
+        conv, n = self.cfg.adc, self.cfg.channel.n_antennas
+        b_re, b_im = self.biases.uniform(-conv.bias_scale, conv.bias_scale,
+                                         (2, n))
+        adc = (ideal_adc() if conv.bits is None else
+               calibrate_adc(real_stack(y), conv.bits, conv.headroom))
         return replace(adc, bias_re=b_re, bias_im=b_im)
+
+    def solve(self, receiver: str, fit, *args, faded=False, **kwargs):
+        """fit(*args, gamma=the receiver's gamma, **kwargs); a singular
+        solve names the keys that set it (faded: OS-ELM updates ran)."""
+        cfg, gamma = self.cfg, self.cfg.gamma_for(receiver)
+        try:
+            return fit(*args, gamma=gamma, **kwargs)
+        except np.linalg.LinAlgError as exc:   # core.factor's singular G
+            fades = (f"'adaptive.forgetting' (now {cfg.adaptive.forgetting!r}"
+                     "; each update fades the regularization) or "
+                     if faded else "")
+            raise ValueError(
+                f"singular normal equations in the {receiver} readout: raise "
+                f"config key {fades}'gamma.{receiver}' (now {gamma!r}), or "
+                f"lower 'adc.headroom' (now {cfg.adc.headroom!r}) or "
+                f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
+                "converter's step or bias dwarfs the signal") from exc
 
     def detect_and_count(self, key, detect, model, R, labels):
         """Detect one block and add its symbol and error counts under key =
@@ -284,15 +291,15 @@ _Arm = namedtuple("_Arm", "name adc biased train detect")
 # biased quantized stack or the unbiased I/Q quantization.  Lambdas look
 # functions up when called, so run-time replacements (tracing) apply.
 _RECEIVERS = {
-    "natural-elm": (True, lambda t, R, X: train_natural_elm(
-        R, X, t.cfg.gamma_for("natural-elm")),
+    "natural-elm": (True, lambda t, R, X: t.solve(
+        "natural-elm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
-    "trained-zf": (False, lambda t, R, X: train_zf_direct(
-        R, X, t.cfg.gamma_for("trained-zf")),
+    "trained-zf": (False, lambda t, R, X: t.solve(
+        "trained-zf", train_zf_direct, R, X),
         lambda m, R: detect_natural_elm(m, real_stack(R))),
-    "borrowed-elm": (False, lambda t, R, X: train_borrowed_elm(
-        real_stack(R), X, t.cfg.gamma_for("borrowed-elm"),
-        t.cfg.borrowed_hidden, t.borrowed_init),
+    "borrowed-elm": (False, lambda t, R, X: t.solve(
+        "borrowed-elm", train_borrowed_elm, real_stack(R), X,
+        hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
         lambda m, R: detect_borrowed_elm(m, real_stack(R))),
     "zf": (False, lambda t, R, X: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
@@ -317,7 +324,7 @@ def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
                                t.channel_seed), 0)
     for snr_db in cfg.snr_db_list:
         t.at_snr(snr_db)
-        preamble = (None if cfg.adc_bits is None
+        preamble = (None if cfg.adc.bits is None
                     else t.send(cfg.preamble_len)[2])
         groups = {}  # arms that share one converter output
         for arm in arms_at(cfg, t.calibrate(preamble)):
@@ -365,25 +372,12 @@ def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
 ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 
 
-def _oselm_weights(state, gamma: float):
-    """oselm_weights, a singular solve named by the keys that set it."""
-    try:
-        return oselm_weights(state, gamma)
-    except ValueError as exc:
-        raise ValueError(
-            "singular OS-ELM normal equations: each update scales the "
-            "state by adaptive.forgetting, so the regularization fades; "
-            f"raise config key 'adaptive.forgetting' (now {state.lam!r}) "
-            f"or 'gamma.oselm' (now {gamma!r})") from exc
-
-
 def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     t = _Trial(cfg, trial)
     proc = draw_process(cfg.channel, t.channel_seed)
     ad = cfg.adaptive
     snr_db = cfg.snr_db_list[0]
     t.at_snr(snr_db)
-    gamma = cfg.gamma_for("oselm")
 
     # The channel evolves across frames: H is sampled at each frame's
     # first symbol index and held for that frame (block fading), which
@@ -391,8 +385,9 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     t.H = realize(proc, 0)
     _, x0, y0 = t.send(ad.init_len)
     adc = t.calibrate(y0)
-    state = oselm_init(bias_quantize(y0, adc), x0, gamma, ad.forgetting)
-    frozen_w = _oselm_weights(state, gamma)
+    state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
+                       ad.forgetting)
+    frozen_w = t.solve("oselm", oselm_weights, state)
 
     frame_len = ad.frame_training_len + ad.frame_data_len
     for f in range(ad.n_frames):
@@ -403,12 +398,13 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
         # benchmark: batch retrain assuming a long training block is
         # available within the frame
         _, x_b, y_b = t.send(ad.benchmark_training_len)
-        bench_w = train_natural_elm(bias_quantize(y_b, adc), x_b, gamma)
+        bench_w = t.solve("oselm", train_natural_elm,
+                          bias_quantize(y_b, adc), x_b)
         # frame payload, sent whole: chunking it would change the order
         # of the noise draws
         labels, _, y = t.send(ad.frame_data_len)
         r = bias_quantize(y, adc)
-        oselm_w = _oselm_weights(state, gamma)
+        oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
         for name, w in zip(ADAPTIVE_VARIANTS, (oselm_w, bench_w, frozen_w)):
             t.detect_and_count((name, snr_db, f), detect_natural_elm, w, r,
                                labels)
@@ -507,8 +503,8 @@ def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     """Four-system comparison isolating the effect of biasing and
     quantization (the unquantized arms keep the analog clipping range).
     The ablation always quantizes: an ideal converter becomes 6 bits."""
-    if cfg.adc_bits is None:
-        cfg = replace(cfg, adc_bits=6)
+    if cfg.adc.bits is None:
+        cfg = replace(cfg, adc=replace(cfg.adc, bits=6))
     worker = partial(_trial_quasi_static, _ablation_arms)
     return _run_trials("bias-ablation", worker, cfg, n_jobs)
 

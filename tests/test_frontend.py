@@ -341,7 +341,8 @@ def test_draw_biases_range_and_freeze():
     # within the bias scale, and the same seed freezes the same biases
     rng = np.random.default_rng(8)
     for bits in (None, 6):
-        cfg = harness.ExperimentConfig(adc_bits=bits, bias_scale=0.1)
+        cfg = harness.ExperimentConfig(
+            adc=harness.ConverterConfig(bits=bits, bias_scale=0.1))
         n = cfg.channel.n_antennas
         y = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
         adc = harness._Trial(cfg, 0).calibrate(y)

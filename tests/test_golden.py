@@ -10,8 +10,9 @@ from dataclasses import replace
 import pytest
 
 from elm_mimo.channel import ChannelConfig
-from elm_mimo.harness import (AdaptiveConfig, desk_config, run_adaptive,
-                              run_bias_ablation, run_ser_sweep, write_csv)
+from elm_mimo.harness import (AdaptiveConfig, ConverterConfig, desk_config,
+                              run_adaptive, run_bias_ablation, run_ser_sweep,
+                              write_csv)
 
 
 def _config(**overrides):
@@ -27,28 +28,30 @@ def _config(**overrides):
     return replace(desk_config(), **base)
 
 
+IDEAL = ConverterConfig(bits=None)
 GOLDEN = [
     ("sweep", run_ser_sweep, {},
      "4d8ec734084bc963e15b21a397ec57be793e18edb274ae0a4dfd9253f8d9f87a"),
     ("sweep-per-user", run_ser_sweep, {"per_user": True},
      "f24f7805207c57f2a9b511fa3a8e7606e39f8e37bcfd8adee29f9786fe4a21e2"),
-    ("sweep-linear-ideal", run_ser_sweep, {"saleh": None, "adc_bits": None},
+    ("sweep-linear-ideal", run_ser_sweep, {"saleh": None, "adc": IDEAL},
      "a7f4ca866b56ba6102b37020f16e5e34fd0c07a93a4a46daa55dd2e216cbd628"),
     ("sweep-subset", run_ser_sweep,
      {"receivers": ("mmse", "borrowed-elm", "natural-elm")},
      "933072f45ea863b885df1a545aab6adb6e48155d8d70076fba167d354ecc59ca"),
     ("sweep-pre-pa-3bit", run_ser_sweep,
-     {"snr_reference": "pre-pa", "adc_bits": 3, "master_seed": 7},
+     {"snr_reference": "pre-pa", "adc": ConverterConfig(bits=3),
+      "master_seed": 7},
      "9a2b46993c20347751399521e770841bd1971ee87fc363c7c0de0a8c0f535134"),
     ("ablation", run_bias_ablation, {},
      "bf3daa99a8814cbffc6436bd2462688be6cb6a150fec14b95f25d7290a516383"),
     ("ablation-ideal-per-user", run_bias_ablation,
-     {"adc_bits": None, "per_user": True},
+     {"adc": IDEAL, "per_user": True},
      "a86508e014f92f9106463ac2e828f615859d48f4d86f7bc241d425789fea5636"),
     ("adaptive", run_adaptive, {"velocity_mps": 30.0},
      "55513a7f0a29f930de738732d164cfe1f1d9143babd7fb5fde7029f3bd23be72"),
     ("adaptive-long-frame", run_adaptive,
-     {"frame_data_len": 5000, "adc_bits": None, "per_user": True},
+     {"frame_data_len": 5000, "adc": IDEAL, "per_user": True},
      "2fee9b3d690e1e6f0cf52e4b7d703f77a6b1ec8fe692f5db78081a90065d32e6"),
 ]
 

@@ -7,7 +7,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ from elm_mimo.bounds import BOUNDS
 from elm_mimo.channel import ChannelConfig
 from elm_mimo.frontend import SalehParams
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
-                              AdaptiveConfig, ExperimentConfig, config_from_dict,
+                              AdaptiveConfig, ConverterConfig,
+                              ExperimentConfig, config_from_dict,
                               config_to_dict, desk_config, load_config,
                               paper_config, run_adaptive, run_bias_ablation,
                               run_ser_sweep, save_config, write_csv)
@@ -82,7 +83,8 @@ def test_config_file_round_trip(tmp_path):
 
 def test_ideal_converter_config_file_keeps_bias_and_headroom(tmp_path):
     # the bias and the ablation's full scale apply without a quantizer too
-    cfg = _small_config(adc_bits=None, bias_scale=0.0, adc_headroom=2.0)
+    cfg = _small_config(adc=ConverterConfig(bits=None, headroom=2.0,
+                                             bias_scale=0.0))
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -110,11 +112,18 @@ def test_config_malformed_json(tmp_path):
 def test_config_special_forms():
     cfg = config_from_dict({"saleh": "bypass", "adc": "ideal", "gamma": 0.5})
     assert cfg.saleh is None
-    assert cfg.adc_bits is None
+    assert cfg.adc.bits is None
     assert cfg.gamma_for("natural-elm") == 0.5
     assert cfg.gamma_for("oselm") == 0.5
     ideal = config_from_dict({"adc": {"bits": None, "bias_scale": 0.0}})
-    assert ideal.adc_bits is None and ideal.bias_scale == 0.0
+    assert ideal.adc == ConverterConfig(bits=None, bias_scale=0.0)
+
+
+def test_config_null_is_judged_by_the_field_type():
+    # a JSON null is admitted where the field may be None, so a null
+    # amplifier is the bypass, and refused with its key named elsewhere
+    assert (config_from_dict({"saleh": None})
+            == config_from_dict({"saleh": "bypass"}))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +202,8 @@ def test_ideal_chain_zf_near_perfect():
     # PA bypass + ideal ADC at 30 dB: array gain makes errors vanishingly
     # rare for ZF with the true channel
     ch = ChannelConfig(n_antennas=64, n_users=8)
-    cfg = replace(desk_config(), channel=ch, saleh=None, adc_bits=None,
+    cfg = replace(desk_config(), channel=ch, saleh=None,
+                  adc=ConverterConfig(bits=None),
                   snr_db_list=(30.0,), training_len=300,
                   payload_len=125_000, receivers=("zf",), trials=1)
     recs = run_ser_sweep(cfg)
@@ -327,6 +337,27 @@ def test_adaptive_singular_solve_names_its_keys(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'adaptive.forgetting'" in err and "'gamma.oselm'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, readout", [
+    ("ser-sweep", "natural-elm"), ("bias-ablation", "natural-elm"),
+    ("adaptive", "oselm")])
+def test_singular_readout_names_the_converter_keys(tmp_path, capsys,
+                                                   command, readout):
+    # a converter step and bias far above the signal leave each column
+    # of the biased stack constant: rank one, beyond what gamma = 1 lifts
+    cfg_path = tmp_path / "cfg.json"
+    save_config(_small_config(adc=ConverterConfig(headroom=1e6,
+                                                  bias_scale=1e6)), cfg_path)
+    out = tmp_path / "o.csv"
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for key in (f"gamma.{readout}", "adc.headroom", "adc.bias_scale"):
+        assert f"'{key}'" in err
+    # no update has run, so the forgetting factor is not to blame
+    assert "adaptive.forgetting" not in err
     assert not out.exists()
 
 
@@ -616,6 +647,11 @@ def test_public_names_unchanged():
     ({"saleh": {"alpha_a": math.nan}}, "saleh.alpha_a"),
     ({"adaptive": {"forgetting": math.nan}}, "adaptive.forgetting"),
     ({"adc": {"headroom": 10**400}}, "adc.headroom"),
+    # a null where the field cannot be None
+    ({"adc": None}, "adc"),
+    ({"channel": None}, "channel"),
+    ({"adaptive": None}, "adaptive"),
+    ({"adc": {"headroom": None}}, "adc.headroom"),
 ])
 def test_config_wrong_type_names_key(data, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
@@ -629,7 +665,7 @@ def test_config_wrong_type_names_key(data, key):
     ({"training_len": "5"}, "training_len"),
     ({"snr_db_list": ("a",)}, "snr_db_list"),
     ({"gamma": {"oselm": "x"}}, "gamma.oselm"),
-    ({"adc_headroom": math.inf}, "adc.headroom"),
+    ({"adc": {"headroom": 3.0}}, "adc"),
 ])
 def test_config_built_in_python_wrong_type_names_key(overrides, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
@@ -644,6 +680,7 @@ def test_config_built_in_python_wrong_type_names_key(overrides, key):
     (ChannelConfig, {"n_rays": "5"}, "channel.n_rays"),
     (AdaptiveConfig, {"n_frames": "2"}, "adaptive.n_frames"),
     (SalehParams, {"eps_a": "x"}, "saleh.eps_a"),
+    (ConverterConfig, {"headroom": math.inf}, "adc.headroom"),
 ])
 def test_nested_config_constructor_wrong_type_names_key(cls, kwargs, key):
     with pytest.raises(ValueError, match=f"'{re.escape(key)}'"):
@@ -733,9 +770,9 @@ _configs = st.builds(
                                 eps_a=_finite(1e-3, 10.0),
                                 alpha_phi=_finite(0.0, 10.0),
                                 eps_phi=_finite(1e-3, 10.0)),
-    adc_bits=st.none() | st.integers(1, 16),
-    adc_headroom=_finite(1e-3, 100.0),
-    bias_scale=_finite(0.0, 10.0),
+    adc=st.builds(ConverterConfig, bits=st.none() | st.integers(1, 16),
+                  headroom=_finite(1e-3, 100.0),
+                  bias_scale=_finite(0.0, 10.0)),
     snr_db_list=st.lists(_finite(-30.0, 60.0), min_size=1,
                          max_size=6).map(tuple),
     training_len=st.integers(1, 10**6),
@@ -861,6 +898,37 @@ def test_bounds_rows_are_the_numeric_config_keys():
     # a misspelt row would leave its key unbounded and raise nothing;
     # desk_config() sets every gamma.<receiver>
     assert set(BOUNDS) == _numeric_leaf_keys(config_to_dict(desk_config()))
+
+
+def _leaf_keys(d, prefix=""):
+    """The dotted keys of d's leaves."""
+    keys = set()
+    for k, v in d.items():
+        keys |= (_leaf_keys(v, f"{prefix}{k}.") if isinstance(v, dict)
+                 else {prefix + k})
+    return keys
+
+
+def _field_paths(cls, prefix=""):
+    """The dotted paths of config dataclass cls's fields, a nested
+    config's fields and the default dict's keys under the field's own."""
+    paths = set()
+    for f in fields(cls):
+        default = f.default_factory() if f.default is MISSING else f.default
+        if is_dataclass(default):
+            paths |= _field_paths(type(default), f"{prefix}{f.name}.")
+        elif isinstance(default, dict):
+            paths |= {f"{prefix}{f.name}.{k}" for k in default}
+        else:
+            paths.add(prefix + f.name)
+    return paths
+
+
+def test_config_keys_are_the_dataclass_field_paths():
+    # the JSON schema is the dataclass tree: a field renamed or flattened
+    # on the way to disk would show here
+    assert (_leaf_keys(config_to_dict(desk_config()))
+            == _field_paths(ExperimentConfig))
 
 
 def test_config_root_must_be_object():
