@@ -27,7 +27,8 @@ BOUNDS = {
         "trials", "adaptive.init_len", "adaptive.frame_training_len",
         "adaptive.frame_data_len", "adaptive.n_frames",
         "adaptive.benchmark_training_len"), (1, math.inf)),
-    **dict.fromkeys(("gamma.natural-elm", "gamma.borrowed-elm",
+    # "gamma" is the scalar form, one gamma for every receiver
+    **dict.fromkeys(("gamma", "gamma.natural-elm", "gamma.borrowed-elm",
                      "gamma.trained-zf", "gamma.oselm"), (0.0, math.inf)),
     "master_seed": (0, math.inf),
     "snr_db_list": (-300.0, 300.0),

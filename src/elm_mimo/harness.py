@@ -13,7 +13,9 @@ I/Q quantization.  The sweep puts the configured receivers behind one
 converter, the ablation the natural-ELM readout behind four.  Per SNR
 point the engine calibrates the converter, trains all arms on one
 shared training block and scores them on the same payload.  The
-adaptive experiment runs its own frame loop on the same helpers.
+adaptive experiment runs its own frame loop, its three variants being
+natural-ELM arms behind one converter.  `_Trial.score` scores all arms
+of all three, keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -274,15 +276,23 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def detect_and_count(self, key, detect, model, R, labels):
-        """Detect one block and add its symbol and error counts under key =
-        (receiver, *rest), or under (receiver/user<k>, *rest) per user."""
-        errs = detect(model, R) != labels
+    def score(self, groups, models, key, n: int, chunk: int = 4096):
+        """Send n payload vectors in chunks of at most chunk; each group of
+        arms reads one converter output, and each arm's counts go under
+        (name, *key) = (receiver, snr_db, frame), or (name/user<k>, *key)."""
         per_user = self.cfg.per_user
-        for k, e in enumerate(errs.T if per_user else [errs]):
-            ukey = (f"{key[0]}/user{k}",) + key[1:] if per_user else key
-            sym, err = self.counts.get(ukey, (0, 0))
-            self.counts[ukey] = (sym + e.size, err + int(e.sum()))
+        for done in range(0, n, chunk):
+            labels, _, y = self.send(min(chunk, n - done))
+            for group in groups:
+                R = _front_end(group[0], y)
+                for arm in group:
+                    errs = arm.detect(models[arm.name], R) != labels
+                    for k, e in enumerate(errs.T if per_user else [errs]):
+                        ukey = (f"{arm.name}/user{k}" if per_user
+                                else arm.name, *key)
+                        sym, err = self.counts.get(ukey, (0, 0))
+                        self.counts[ukey] = (sym + e.size, err + int(e.sum()))
+                del R   # hold one converter output at a time
 
 
 _Arm = namedtuple("_Arm", "name adc biased train detect")
@@ -313,9 +323,6 @@ def _front_end(arm, y):
     return bias_quantize(y, arm.adc) if arm.biased else quantize_iq(y, arm.adc)
 
 
-_PAYLOAD_CHUNK = 4096
-
-
 def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
     """One quasi-static trial; arms_at(cfg, adc) lists the arms behind
     the converter calibrated at each SNR point."""
@@ -336,15 +343,8 @@ def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
             for arm in group:
                 models[arm.name] = arm.train(t, R, x)
             del R   # hold one converter output at a time
-        for done in range(0, cfg.payload_len, _PAYLOAD_CHUNK):
-            labels, _, y = t.send(min(_PAYLOAD_CHUNK,
-                                      cfg.payload_len - done))
-            for group in groups.values():
-                R = _front_end(group[0], y)
-                for arm in group:
-                    t.detect_and_count((arm.name, snr_db), arm.detect,
-                                       models[arm.name], R, labels)
-                del R
+        del x, y   # and no training block while scoring
+        t.score(groups.values(), models, (snr_db, -1), cfg.payload_len)
     return t.counts
 
 
@@ -388,6 +388,8 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
                        ad.forgetting)
     frozen_w = t.solve("oselm", oselm_weights, state)
+    arms = [_Arm(name, adc, *_RECEIVERS["natural-elm"])
+            for name in ADAPTIVE_VARIANTS]
 
     frame_len = ad.frame_training_len + ad.frame_data_len
     for f in range(ad.n_frames):
@@ -400,14 +402,12 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
         _, x_b, y_b = t.send(ad.benchmark_training_len)
         bench_w = t.solve("oselm", train_natural_elm,
                           bias_quantize(y_b, adc), x_b)
+        oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
         # frame payload, sent whole: chunking it would change the order
         # of the noise draws
-        labels, _, y = t.send(ad.frame_data_len)
-        r = bias_quantize(y, adc)
-        oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
-        for name, w in zip(ADAPTIVE_VARIANTS, (oselm_w, bench_w, frozen_w)):
-            t.detect_and_count((name, snr_db, f), detect_natural_elm, w, r,
-                               labels)
+        t.score([arms], dict(zip(ADAPTIVE_VARIANTS,
+                                 (oselm_w, bench_w, frozen_w))),
+                (snr_db, f), ad.frame_data_len, chunk=ad.frame_data_len)
     return t.counts
 
 
@@ -487,10 +487,8 @@ def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
         for key, (sym, err) in counts.items():
             s0, e0 = merged.get(key, (0, 0))
             merged[key] = (s0 + sym, e0 + err)
-    # key = (receiver, snr_db) or, framed, (receiver, snr_db, frame)
-    return [SerRecord(experiment, key[0], key[1],
-                      key[2] if len(key) > 2 else -1, *merged[key],
-                      cfg.master_seed) for key in sorted(merged)]
+    return [SerRecord(experiment, *key, *merged[key], cfg.master_seed)
+            for key in sorted(merged)]
 
 
 def run_ser_sweep(cfg: ExperimentConfig, n_jobs: int = 1):

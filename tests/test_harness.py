@@ -186,6 +186,25 @@ def test_different_seed_changes_output():
     assert any(a.errors != b.errors for a, b in zip(recs_a, recs_b))
 
 
+@pytest.mark.parametrize("run", [run_ser_sweep, run_bias_ablation,
+                                 run_adaptive])
+def test_per_user_rows_sum_to_the_pooled_rows(run):
+    cfg = _small_config(payload_len=500, adaptive=AdaptiveConfig(
+        init_len=300, frame_training_len=20, frame_data_len=60,
+        benchmark_training_len=300, n_frames=2))
+    pooled = {(r.receiver, r.snr_db, r.frame): (r.symbols, r.errors)
+              for r in run(cfg)}
+    summed = {}
+    for r in run(replace(cfg, per_user=True)):
+        receiver, user = r.receiver.rsplit("/", 1)
+        assert user in ("user0", "user1")
+        key = (receiver, r.snr_db, r.frame)
+        sym, err = summed.get(key, (0, 0))
+        summed[key] = (sym + r.symbols, err + r.errors)
+    assert summed == pooled
+    assert any(err for _, err in pooled.values())
+
+
 def test_per_user_records():
     cfg = _small_config(trials=1, payload_len=400, per_user=True,
                         receivers=("zf",), snr_db_list=(10.0,))
@@ -396,10 +415,11 @@ def _blas_threads():
     (4, 8, 1, (1, 1)),
     (10**6, 10**6, 2, (2, 1)),
 ])
-def test_pool_shape_caps_workers_and_splits_cores(n_jobs, trials, nproc,
-                                                  shape):
-    # shape = (workers, BLAS threads per trial): the cores are split
-    # between trials, so a trial runs on one BLAS thread in any shape
+def test_pool_shape_caps_workers_and_pins_one_blas_thread(n_jobs, trials,
+                                                          nproc, shape):
+    # shape = (workers, BLAS threads per trial): _pool_shape caps the
+    # workers, and _pinned runs every trial on one BLAS thread whatever
+    # the worker count
     seen = harness._pinned(lambda cfg, t: set(_blas_threads()), None, 0)
     assert (harness._pool_shape(n_jobs, trials, nproc),
             max(seen, default=1)) == shape
@@ -413,7 +433,7 @@ def _needs_openblas():
 def _trial_blas_threads(cfg, trial):
     """A trial that reports its process and the BLAS thread counts it
     runs under, as a record key."""
-    return {(os.getpid(), tuple(_blas_threads())): (1, 0)}
+    return {(os.getpid(), tuple(_blas_threads()), -1): (1, 0)}
 
 
 def _threads_in_trials(n_jobs):
@@ -706,7 +726,7 @@ OUT_OF_RANGE = [
     ({"master_seed": -1}, "master_seed"),
     ({"gamma": {"natural-elm": -1.0}}, "gamma.natural-elm"),
     ({"gamma": {"oselm": math.nan}}, "gamma.oselm"),
-    ({"gamma": -1.0}, "gamma"),
+    ({"gamma": -1.0}, "'gamma'"),   # the scalar's key, not gamma.<receiver>
     ({"snr_db_list": [-math.inf]}, "snr_db_list"),
     ({"snr_db_list": [5.0, math.nan]}, "snr_db_list"),
     ({"channel": {"n_rays": 0}}, "channel.n_rays"),
@@ -896,8 +916,10 @@ def _numeric_leaf_keys(d, prefix=""):
 
 def test_bounds_rows_are_the_numeric_config_keys():
     # a misspelt row would leave its key unbounded and raise nothing;
-    # desk_config() sets every gamma.<receiver>
-    assert set(BOUNDS) == _numeric_leaf_keys(config_to_dict(desk_config()))
+    # desk_config() sets every gamma.<receiver>, and a config may give
+    # one scalar "gamma" for all of them instead
+    assert set(BOUNDS) == (_numeric_leaf_keys(config_to_dict(desk_config()))
+                           | {"gamma"})
 
 
 def _leaf_keys(d, prefix=""):

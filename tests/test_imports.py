@@ -1,16 +1,20 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package or test module imports is read in that module.
 
 There is no linter among the test dependencies, so this stands in for
 its unused-import rule.  Names listed in a module's ``__all__`` count as
-read: they are re-exported on purpose.
+read: they are re-exported on purpose.  The acceptance tests are left
+out: that file is kept as written.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "elm_mimo"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "elm_mimo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p for p in TESTS.glob("test_*.py")
+                      if p.name != "test_acceptance.py")
 
 
 def _unused_imports(source: str) -> list:
@@ -34,7 +38,8 @@ def _unused_imports(source: str) -> list:
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
