@@ -128,9 +128,12 @@ def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
     s = pa_distort(x, saleh) if saleh is not None else x
     y = s @ H.T if x.ndim == 2 else H @ s
     if sigma2 > 0:
-        scale = np.sqrt(sigma2 / 2.0)
-        n = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        y = y + scale * n
+        n = np.empty(y.shape, dtype=complex)
+        n.real = rng.standard_normal(y.shape)
+        n.imag = rng.standard_normal(y.shape)
+        n *= np.sqrt(sigma2 / 2.0)
+        n += y
+        return n
     return y
 
 
@@ -176,27 +179,35 @@ def ideal_adc() -> AdcConfig:
     return AdcConfig(bits=None, full_scale=np.inf)
 
 
+def _quantize_in_place(c: np.ndarray, adc: AdcConfig) -> np.ndarray:
+    """quantize() written into the float array c itself; returns c."""
+    F = adc.full_scale
+    if adc.bits is None:
+        return np.clip(c, -F, F, out=c) if np.isfinite(F) else c
+    d, half = adc.step, 2 ** (adc.bits - 1)
+    np.floor(np.divide(c, d, out=c), out=c)
+    np.clip(c, -half, half - 1, out=c)
+    c += 0.5
+    c *= d
+    return c
+
+
 def quantize(c, adc: AdcConfig):
     """Elementwise mid-rise quantization Q(c) = step (floor(c/step) + 0.5).
 
     Inputs beyond the full scale saturate to the extreme levels.  With
     bits = None the input is only clipped to [-F, F] (or passed through
-    when F is infinite).
+    when F is infinite).  Each of the three quantizers returns a new array.
     """
-    c = np.asarray(c, dtype=float)
-    F = adc.full_scale
-    if adc.bits is None:
-        return np.clip(c, -F, F) if np.isfinite(F) else c
-    d = adc.step
-    half = 2 ** (adc.bits - 1)
-    idx = np.clip(np.floor(c / d), -half, half - 1)
-    return d * (idx + 0.5)
+    return _quantize_in_place(np.array(c, dtype=float), adc)
 
 
 def quantize_iq(y, adc: AdcConfig):
     """Quantize real and imaginary parts separately; no biasing."""
-    y = np.asarray(y)
-    return quantize(y.real, adc) + 1j * quantize(y.imag, adc)
+    out = np.array(y, dtype=complex)
+    _quantize_in_place(out.real, adc)
+    _quantize_in_place(out.imag, adc)
+    return out
 
 
 def bias_quantize(y, adc: AdcConfig):
@@ -206,9 +217,11 @@ def bias_quantize(y, adc: AdcConfig):
     hidden-layer output of the natural ELM receiver.
     """
     y = np.asarray(y)
-    stacked = np.concatenate(
-        [y.real + adc.bias_re, y.imag + adc.bias_im], axis=-1)
-    return quantize(stacked, adc)
+    n = y.shape[-1]
+    out = np.empty(y.shape[:-1] + (2 * n,))
+    np.add(y.real, adc.bias_re, out=out[..., :n])
+    np.add(y.imag, adc.bias_im, out=out[..., n:])
+    return _quantize_in_place(out, adc)
 
 
 def calibrate_adc(samples, bits: int, headroom: float = 3.0) -> AdcConfig:

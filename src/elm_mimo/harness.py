@@ -46,8 +46,8 @@ from .bounds import MIN_CALIBRATION, check, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
-                       calibrate_adc, ideal_adc, quantize_iq, signal_power,
-                       transmit)
+                       calibrate_adc, ideal_adc, pa_distort, quantize_iq,
+                       signal_power, transmit)
 from .receivers import (detect_linear, detect_natural_elm,
                         detect_borrowed_elm, mmse_weights, oselm_init,
                         oselm_update, oselm_weights, train_borrowed_elm,
@@ -124,6 +124,9 @@ class ExperimentConfig:
         check(self)
         if not self.snr_db_list:
             raise ValueError("snr_db_list must be non-empty")
+        if len({"%g" % v for v in self.snr_db_list}) < len(self.snr_db_list):
+            raise ValueError("config key 'snr_db_list' must differ in every "
+                             f"value as '%g' prints it: {self.snr_db_list}")
         if (not set(self.receivers) <= set(ALL_RECEIVERS)
                 or not 0 < len(self.receivers) == len(set(self.receivers))):
             raise ValueError(f"receivers must name some of {ALL_RECEIVERS}"
@@ -232,6 +235,8 @@ class _Trial:
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.channel_seed, self.counts = cfg, kids[0], {}
         self.H = self.snr = self.sigma2 = None
+        self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
+                     else pa_distort(QAM16.points, cfg.saleh))
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
 
@@ -245,9 +250,8 @@ class _Trial:
         """n random symbol vectors over the link: (labels, x, y)."""
         labels = QAM16.random_labels(self.symbols,
                                      (n, self.cfg.channel.n_users))
-        x = QAM16.symbols(labels)
-        return labels, x, transmit(self.H, x, self.sigma2, self.noise,
-                                   self.cfg.saleh)
+        return labels, QAM16.symbols(labels), transmit(
+            self.H, self.sent[labels], self.sigma2, self.noise)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.special import expit
 
 from .core import (RlsState, factor, gram, real_stack, ridge_solve, rls_init,
                    rls_step)
@@ -119,9 +118,13 @@ class BorrowedElmModel:
 
 
 def _hidden(model_w: np.ndarray, model_b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-z)) of z = r W^T + b, in z's buffer."""
     z = r @ model_w.T
     z += model_b
-    return expit(z, out=z)
+    with np.errstate(over="ignore"):   # exp(-z) = inf gives exactly 0
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def train_borrowed_elm(R: np.ndarray, X_train: np.ndarray, gamma: float,

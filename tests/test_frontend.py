@@ -2,8 +2,9 @@
 16-QAM mapping, the Saleh amplifier, AWGN, and the biased mid-rise ADC."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from elm_mimo.bounds import BOUNDS
 from elm_mimo.core import real_stack
 from elm_mimo import harness
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
@@ -354,6 +355,143 @@ def test_draw_biases_range_and_freeze():
         assert np.array_equal(again.bias_re, adc.bias_re)
         assert np.array_equal(again.bias_im, adc.bias_im)
         assert np.array_equal(bias_quantize(y, adc), bias_quantize(y, again))
+
+
+# ---------------------------------------------------------------------------
+# the one-buffer quantizers and transmit against the out-of-place bodies
+# they replaced, kept here as the reference
+
+
+def _reference_quantize(c, adc):
+    c = np.asarray(c, dtype=float)
+    F = adc.full_scale
+    if adc.bits is None:
+        return np.clip(c, -F, F) if np.isfinite(F) else c
+    d = adc.step
+    half = 2 ** (adc.bits - 1)
+    idx = np.clip(np.floor(c / d), -half, half - 1)
+    return d * (idx + 0.5)
+
+
+def _reference_quantize_iq(y, adc):
+    y = np.asarray(y)
+    return _reference_quantize(y.real, adc) + 1j * _reference_quantize(
+        y.imag, adc)
+
+
+def _reference_bias_quantize(y, adc):
+    y = np.asarray(y)
+    stacked = np.concatenate(
+        [y.real + adc.bias_re, y.imag + adc.bias_im], axis=-1)
+    return _reference_quantize(stacked, adc)
+
+
+def _reference_transmit(H, x, sigma2, rng, saleh=None):
+    x = np.asarray(x)
+    s = pa_distort(x, saleh) if saleh is not None else x
+    y = s @ H.T if x.ndim == 2 else H @ s
+    if sigma2 > 0:
+        scale = np.sqrt(sigma2 / 2.0)
+        n = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+        y = y + scale * n
+    return y
+
+
+@st.composite
+def _converter_inputs(draw):
+    """(real input, complex input, converter): bits 1-12 or None, finite
+    or infinite full scale, scalar or per-antenna biases, and an input
+    that is a scalar, (N,), (M, N) or a non-contiguous (M, N) view."""
+    bits = draw(st.sampled_from((None, *range(1, 13))))
+    finite = bits is not None or draw(st.booleans())
+    F = draw(st.floats(1e-3, 1e3)) if finite else np.inf
+    layout = draw(st.sampled_from(("scalar", "vector", "matrix", "strided")))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = {"scalar": (), "vector": (n,), "matrix": (m, n),
+             "strided": (m, 2 * n)}[layout]
+    scale = F if finite else 1.0
+    a, b = 2.0 * scale * rng.standard_normal((2,) + shape)
+    if bits is not None and draw(st.booleans()):
+        # land on the quantizer's thresholds
+        step = 2.0 * F / 2 ** bits
+        a, b = step * np.round(a / step), step * np.round(b / step)
+    if layout == "strided":
+        a, b = a[:, ::2], b[:, ::2]
+    bias = rng.uniform(-0.5 * scale, 0.5 * scale,
+                       (2, n) if draw(st.booleans()) else 2)
+    adc = AdcConfig(bits=bits, full_scale=F, bias_re=bias[0],
+                    bias_im=bias[1])
+    return a, a + 1j * b, adc
+
+
+def _same_and_input_kept(new, reference, arg, adc):
+    before = np.copy(arg)
+    got = new(arg, adc)
+    assert np.array_equal(arg, before)
+    want = reference(arg, adc)
+    assert np.shape(got) == np.shape(want)
+    assert np.result_type(got) == np.result_type(want)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_converter_inputs())
+def test_quantize_matches_reference(case):
+    c, _, adc = case
+    _same_and_input_kept(quantize, _reference_quantize, c, adc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_converter_inputs())
+def test_quantize_iq_matches_reference(case):
+    _, y, adc = case
+    _same_and_input_kept(quantize_iq, _reference_quantize_iq, y, adc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_converter_inputs())
+def test_bias_quantize_matches_reference(case):
+    _, y, adc = case
+    assume(np.ndim(y) > 0)   # a stack needs an antenna axis
+    _same_and_input_kept(bias_quantize, _reference_bias_quantize, y, adc)
+
+
+_salehs = st.builds(SalehParams, **{
+    name: st.floats(*BOUNDS[f"saleh.{name}"])
+    for name in ("alpha_a", "eps_a", "alpha_phi", "eps_phi")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4),
+       st.sampled_from(("vector", "matrix", "strided")), st.integers(1, 64),
+       st.sampled_from((0.0, 1e-3, 0.5, 40.0)), st.none() | _salehs,
+       st.integers(0, 2**32 - 1))
+def test_transmit_matches_reference(n, k, layout, m, sigma2, saleh, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    x = QAM16.symbols(QAM16.random_labels(rng, (m, 2 * k)))
+    x = {"vector": x[0, :k], "matrix": x[:, :k].copy(),
+         "strided": x[:, ::2]}[layout]
+    before = x.copy()
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    got = transmit(H, x, sigma2, rngs[0], saleh)
+    assert np.array_equal(x, before)
+    want = _reference_transmit(H, x, sigma2, rngs[1], saleh)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # the same draws, in the same order
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(_salehs, st.integers(1, 4096), st.integers(1, 10),
+       st.integers(0, 2**32 - 1))
+def test_distorted_constellation_by_label_is_distorted_symbols(p, m, k, seed):
+    # the trial engine sends f(c) looked up by label
+    labels = QAM16.random_labels(np.random.default_rng(seed), (m, k))
+    assert np.array_equal(pa_distort(QAM16.points, p)[labels],
+                          pa_distort(QAM16.symbols(labels), p))
 
 
 # ---------------------------------------------------------------------------

@@ -755,6 +755,9 @@ OUT_OF_RANGE = [
     # subnormal: the quantizer step, or the calibration samples, become 0
     ({"adc": {"headroom": 1e-320}}, "adc.headroom"),
     ({"saleh": {"alpha_a": 5e-324}}, "saleh.alpha_a"),
+    # two points whose rows the CSV could not tell apart
+    ({"snr_db_list": [10.0, 10.0]}, "snr_db_list"),
+    ({"snr_db_list": [12.3456781, 12.3456789]}, "snr_db_list"),
 ]
 
 
@@ -793,8 +796,8 @@ _configs = st.builds(
     adc=st.builds(ConverterConfig, bits=st.none() | st.integers(1, 16),
                   headroom=_finite(1e-3, 100.0),
                   bias_scale=_finite(0.0, 10.0)),
-    snr_db_list=st.lists(_finite(-30.0, 60.0), min_size=1,
-                         max_size=6).map(tuple),
+    snr_db_list=st.lists(_finite(-30.0, 60.0), min_size=1, max_size=6,
+                         unique_by=lambda v: "%g" % v).map(tuple),
     training_len=st.integers(1, 10**6),
     payload_len=st.integers(1, 10**6),
     preamble_len=st.integers(50, 10**6),
@@ -883,6 +886,8 @@ _out_of_range = st.one_of(
               st.sampled_from((math.inf, -math.inf, math.nan)),
               st.lists(_finite(-30.0, 60.0), max_size=3)).map(
         lambda p: ({"snr_db_list": p[0] + [p[1]] + p[2]}, "snr_db_list")),
+    st.lists(_finite(-30.0, 60.0), min_size=1, max_size=3).map(
+        lambda v: ({"snr_db_list": v + v[:1]}, "snr_db_list")),
     _above(sorted(_UPPER)).map(lambda kv: (_setting(*kv), kv[0])),
     # the two ranges symmetric about 0, past their lower bound
     _above(["snr_db_list", "channel.mean_aoa_range_rad"]).map(

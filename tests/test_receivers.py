@@ -1,4 +1,6 @@
 """Tests for the five receivers and the adaptive (RLS-tracked) variant."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,13 @@ from scipy.special import expit
 from elm_mimo.channel import ChannelConfig, draw_process, realize
 from elm_mimo.core import real_composite, real_stack
 from elm_mimo.frontend import QAM16, AdcConfig, bias_quantize, ideal_adc, transmit
-from elm_mimo.receivers import (borrowed_estimate, detect_borrowed_elm,
-                                detect_linear, detect_natural_elm,
-                                elm_estimate, mmse_weights, oselm_init,
-                                oselm_update, oselm_weights,
-                                train_borrowed_elm, train_natural_elm,
-                                train_zf_direct, zf_weights, RealImagWeights)
+from elm_mimo.receivers import (_hidden, borrowed_estimate,
+                                detect_borrowed_elm, detect_linear,
+                                detect_natural_elm, elm_estimate,
+                                mmse_weights, oselm_init, oselm_update,
+                                oselm_weights, train_borrowed_elm,
+                                train_natural_elm, train_zf_direct,
+                                zf_weights, RealImagWeights)
 
 
 def _toy_system(seed=0, N=8, K=2, M=64):
@@ -247,11 +250,25 @@ def test_borrowed_estimate_in_place_layer_aliases_nothing(shape):
     W, b = m.input_weights.copy(), m.biases.copy()
     r = rng.standard_normal(shape)
     r0 = r.copy()
-    want = elm_estimate(m.out, expit(r @ W.T + b))
+    # the in-place layer computes the out-of-place formula, bit for bit
+    want = elm_estimate(m.out, 1.0 / (1.0 + np.exp(-(r @ W.T + b))))
     assert np.array_equal(borrowed_estimate(m, r), want)
     assert np.array_equal(r, r0)
     assert np.array_equal(m.input_weights, W)
     assert np.array_equal(m.biases, b)
+    # and agrees with scipy's logistic to rounding
+    np.testing.assert_allclose(_hidden(W, b, r), expit(r @ W.T + b),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_logistic_layer_is_exact_and_silent_at_extreme_inputs():
+    # exp(745) overflows to inf; the layer must still give exactly 0
+    # there, and 1 where exp(-z) underflows, without a warning
+    z = np.array([[-1e4], [-745.0], [0.0], [745.0], [1e4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _hidden(np.ones((1, 1)), np.zeros(1), z)
+    assert np.array_equal(out, [[0.0], [0.0], [0.5], [1.0], [1.0]])
 
 
 def test_borrowed_rejects_empty_hidden_layer():
