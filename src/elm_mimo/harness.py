@@ -309,7 +309,7 @@ _RECEIVERS = {
         "natural-elm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
     "trained-zf": (False, lambda t, R, X: t.solve(
-        "trained-zf", train_zf_direct, R, X),
+        "trained-zf", train_zf_direct, real_stack(R), X),
         lambda m, R: detect_natural_elm(m, real_stack(R))),
     "borrowed-elm": (False, lambda t, R, X: t.solve(
         "borrowed-elm", train_borrowed_elm, real_stack(R), X,

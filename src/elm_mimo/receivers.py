@@ -8,7 +8,7 @@ biased before quantization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -41,12 +41,19 @@ class RealImagWeights:
     """Per-user output weights over a real regressor of length L.
 
     beta_re and beta_im are (L, K); user k's symbol estimate is
-    beta_re[:, k] . r + j beta_im[:, k] . r.
+    beta_re[:, k] . r + j beta_im[:, k] . r.  B interleaves them as one
+    (L, 2K) readout with columns Re_0, Im_0, Re_1, Im_1, ....
     """
 
     beta_re: np.ndarray
     beta_im: np.ndarray
     gamma: float
+    B: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        B = np.empty((self.beta_re.shape[0], 2 * self.beta_re.shape[1]))
+        B[:, 0::2], B[:, 1::2] = self.beta_re, self.beta_im
+        object.__setattr__(self, "B", B)
 
 
 def _split(B: np.ndarray, gamma: float) -> RealImagWeights:
@@ -64,20 +71,13 @@ def train_natural_elm(R_prime: np.ndarray, X_train: np.ndarray,
 
 
 def train_zf_direct(R, X_train: np.ndarray, gamma: float) -> RealImagWeights:
-    """Trained ZF: the same ridge fit from unbiased quantized observations
-    R, complex (M x N) or already real-stacked (M x 2N)."""
-    R = np.asarray(R)
-    if np.iscomplexobj(R):
-        R = real_stack(R)
+    """Trained ZF: the same ridge fit on unbiased quantized stacks R (M x 2N)."""
     return train_natural_elm(R, X_train, gamma)
 
 
 def elm_estimate(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
-    """Soft symbol estimates; r is (2N,) or (M, 2N)."""
-    # one fused matmul over both target blocks
-    K = w.beta_re.shape[1]
-    est = r @ np.concatenate([w.beta_re, w.beta_im], axis=1)
-    return est[..., :K] + 1j * est[..., K:]
+    """Soft symbol estimates r @ B viewed as complex; r is (2N,) or (M, 2N)."""
+    return (r @ w.B).view(complex)
 
 
 def detect_natural_elm(w: RealImagWeights, r: np.ndarray) -> np.ndarray:

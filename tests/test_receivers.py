@@ -63,14 +63,13 @@ def test_zero_bias_equals_trained_zf():
     assert np.allclose(w_nat.beta_im, w_tzf.beta_im, atol=1e-12)
 
 
-def test_train_zf_direct_accepts_complex_rows():
+def test_train_zf_direct_is_the_natural_elm_fit_on_the_stack():
     # trained ZF is the natural-ELM fit on the real stack, bit for bit
     H, labels, X, Y = _toy_system(seed=3)
     want = train_natural_elm(real_stack(Y), X, 0.1)
-    for R in (Y, real_stack(Y)):
-        w = train_zf_direct(R, X, 0.1)
-        assert np.array_equal(w.beta_re, want.beta_re)
-        assert np.array_equal(w.beta_im, want.beta_im)
+    w = train_zf_direct(real_stack(Y), X, 0.1)
+    assert np.array_equal(w.beta_re, want.beta_re)
+    assert np.array_equal(w.beta_im, want.beta_im)
 
 
 def test_trained_zf_left_inverse_noise_free():
@@ -79,7 +78,7 @@ def test_trained_zf_left_inverse_noise_free():
     # the observations live in a 2K-dimensional subspace, so a small
     # gamma keeps the normal equations factorizable without biasing the
     # left-inverse identity beyond 1e-8
-    w = train_zf_direct(Y, X, 1e-6)
+    w = train_zf_direct(real_stack(Y), X, 1e-6)
     B = np.concatenate([w.beta_re, w.beta_im], axis=1)  # (2N, 2K)
     Hp = real_composite(H)
     assert np.allclose(B.T @ Hp, np.eye(2 * H.shape[1]), atol=1e-8)
@@ -112,6 +111,47 @@ def test_zero_weights_demap_to_tie_break():
                         gamma=0.0)
     det = detect_natural_elm(w, np.ones((3, 4)))
     assert np.array_equal(det, np.full((3, 1), QAM16.demap(np.array(0j))))
+
+
+def _reference_elm_estimate(w, r):
+    """The estimate assembled from the two target blocks: one matmul over
+    [beta_re | beta_im], then Re + j Im."""
+    K = w.beta_re.shape[1]
+    est = r @ np.concatenate([w.beta_re, w.beta_im], axis=1)
+    return est[..., :K] + 1j * est[..., K:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 6),
+       st.sampled_from([None, 1, 37]),
+       st.sampled_from(["constructor", "natural-elm", "oselm", "borrowed"]))
+def test_interleaved_readout_matches_two_block_estimate(seed, N, K, M, source):
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((60, 2 * N))
+    X = rng.standard_normal((60, K)) + 1j * rng.standard_normal((60, K))
+    if source == "constructor":
+        w = RealImagWeights(beta_re=rng.standard_normal((2 * N, K)),
+                            beta_im=rng.standard_normal((2 * N, K)),
+                            gamma=0.0)
+    elif source == "natural-elm":
+        w = train_natural_elm(R, X, 0.1)
+    elif source == "oselm":
+        state = oselm_update(oselm_init(R[:40], X[:40], 0.1, 0.95),
+                             R[40:], X[40:])
+        w = oselm_weights(state, 0.1)
+    else:
+        w = train_borrowed_elm(R, X, 0.1, 3 * N, rng).out
+    L = w.beta_re.shape[0]
+    assert w.B.shape == (L, 2 * K)
+    assert np.array_equal(w.B[:, 0::2], w.beta_re)
+    assert np.array_equal(w.B[:, 1::2], w.beta_im)
+    r = rng.standard_normal((L,) if M is None else (M, L))
+    got, want = elm_estimate(w, r), _reference_elm_estimate(w, r)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # the two layouts may sum a dot product in different orders
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(QAM16.demap(got), QAM16.demap(want))
 
 
 # ---------------------------------------------------------------------------
