@@ -49,14 +49,20 @@ def factor(G: np.ndarray, gamma: float | None = None):
             "provide more samples" % where) from exc
 
 
+def _real(a, name: str) -> np.ndarray:
+    """a as float64; complex a raises rather than lose its imaginary part."""
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real; real_stack complex samples")
+    return np.asarray(a, dtype=float)
+
+
 def ridge_solve(Z: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     """Minimize ||Z B - T||^2 + gamma ||B||^2 columnwise.
 
     Solves the normal equations (Z^T Z + gamma I) B = Z^T T through
     :func:`gram` and :func:`factor`.
     """
-    Z = np.asarray(Z, dtype=float)
-    T = np.asarray(T, dtype=float)
+    Z, T = _real(Z, "Z"), _real(T, "T")
     if Z.ndim != 2:
         raise ValueError("Z must be a 2-D matrix")
     return cho_solve(factor(gram(Z, gamma), gamma), Z.T @ T)
@@ -111,8 +117,7 @@ def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
     """Batch-initialize from M0 regressor rows R0 and targets T0: beta
     starts as their ridge fit, and lam = 1 updates stay the ridge fit of
     all data seen."""
-    R0 = np.asarray(R0, dtype=float)
-    T0 = np.asarray(T0, dtype=float)
+    R0, T0 = _real(R0, "R0"), _real(T0, "T0")
     if T0.ndim == 1:
         T0 = T0[:, None]
     return RlsState(G=gram(R0, gamma), C=R0.T @ T0, lam=lam)
@@ -121,8 +126,7 @@ def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
 def rls_step(state: RlsState, r: np.ndarray, t: np.ndarray) -> RlsState:
     """Fold in one sample, regressor r (length L) and target t (length V):
     G <- lam G + r r^T, C <- lam C + r t^T.  Returns a new state."""
-    r = np.asarray(r, dtype=float)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    r, t = _real(r, "r"), np.atleast_1d(_real(t, "t"))
     G = state.lam * state.G
     G += np.outer(r, r)
     C = state.lam * state.C

@@ -19,6 +19,7 @@ __all__ = [
     "SalehParams",
     "pa_distort",
     "signal_power",
+    "noise_planes",
     "transmit",
     "AdcConfig",
     "ideal_adc",
@@ -116,24 +117,31 @@ def signal_power(saleh: SalehParams | None) -> float:
     return float(np.mean(np.abs(s) ** 2))
 
 
+def noise_planes(rng: np.random.Generator, shape) -> np.ndarray:
+    """(2, *shape) standard normals: the real plane, then the imaginary."""
+    planes = np.empty((2, *shape))
+    rng.standard_normal(out=planes[0, ...])
+    rng.standard_normal(out=planes[1, ...])
+    return planes
+
+
 def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
-             rng: np.random.Generator,
-             saleh: SalehParams | None = None) -> np.ndarray:
+             rng: np.random.Generator, saleh: SalehParams | None = None,
+             noise: np.ndarray | None = None) -> np.ndarray:
     """y = H f(x) + n with circular complex Gaussian noise of variance sigma2.
 
     x may be a length-K vector or an (M, K) batch of symbol vectors; the
-    result is (N,) or (M, N) accordingly.
+    result is (N,) or (M, N) accordingly.  n is sqrt(sigma2 / 2) times
+    noise, the (2, *y.shape) planes, scaled in place; drawn if None.
     """
     x = np.asarray(x)
     s = pa_distort(x, saleh) if saleh is not None else x
-    y = s @ H.T if x.ndim == 2 else H @ s
+    y = np.asarray(s @ H.T if x.ndim == 2 else H @ s, dtype=complex)
     if sigma2 > 0:
-        n = np.empty(y.shape, dtype=complex)
-        n.real = rng.standard_normal(y.shape)
-        n.imag = rng.standard_normal(y.shape)
+        n = noise_planes(rng, y.shape) if noise is None else noise
         n *= np.sqrt(sigma2 / 2.0)
-        n += y
-        return n
+        y.real += n[0]
+        y.imag += n[1]
     return y
 
 

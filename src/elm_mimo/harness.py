@@ -20,12 +20,12 @@ of all three, keyed (receiver, snr_db, frame), frame -1 if unframed.
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
 noise, symbols, biases and borrowed-ELM weights.  The draw order within
-each stream is part of the CSV contract: per SNR point the biases, the
-preamble (none for an ideal converter), the training block and the
-payload in 4096-vector chunks; in the adaptive experiment the initial
-block, then per frame the training burst, the benchmark block and the
-whole payload.  Trials merge by summation, so the outcome does not
-depend on the degree of parallelism.
+each stream is part of the CSV contract: per SNR point the biases, then
+the blocks of `_quasi_static_plan`; in the adaptive experiment the
+blocks of `_adaptive_plan`.  Symbols and noise are drawn up to a block
+ahead, in that order, on a thread of their own, so the bytes do not
+depend on its timing.  Trials merge by summation, so the outcome does
+not depend on the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ import ctypes
 import json
 import numbers
 import os
-from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque, namedtuple
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -46,8 +47,8 @@ from .bounds import MIN_CALIBRATION, check, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
-                       calibrate_adc, ideal_adc, pa_distort, quantize_iq,
-                       signal_power, transmit)
+                       calibrate_adc, ideal_adc, noise_planes, pa_distort,
+                       quantize_iq, signal_power, transmit)
 from .receivers import (detect_linear, detect_natural_elm,
                         detect_borrowed_elm, mmse_weights, oselm_init,
                         oselm_update, oselm_weights, train_borrowed_elm,
@@ -75,6 +76,7 @@ ALL_RECEIVERS = ("natural-elm", "borrowed-elm", "trained-zf", "zf", "mmse")
 TRAINED = ("natural-elm", "borrowed-elm", "trained-zf", "oselm")
 
 CSV_HEADER = "experiment,receiver,snr_db,frame,symbols,errors,ser,seed"
+_CHUNK = 4096   # vectors per block of the quasi-static payload
 
 
 @dataclass(frozen=True)
@@ -227,11 +229,11 @@ def write_csv(records, path):
 # Trials: shared machinery and the quasi-static engine
 
 
-class _Trial:
+class _Trial(AbstractContextManager):
     """One trial's RNG streams, current channel matrix and noise level,
-    and its symbol and error counts per record key."""
+    and its counts per record key; it draws its plan's blocks ahead."""
 
-    def __init__(self, cfg: ExperimentConfig, trial: int):
+    def __init__(self, cfg: ExperimentConfig, trial: int, plan):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.channel_seed, self.counts = cfg, kids[0], {}
         self.H = self.snr = self.sigma2 = None
@@ -239,6 +241,19 @@ class _Trial:
                      else pa_distort(QAM16.points, cfg.saleh))
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
+        self.plan, self.ahead = deque(plan), deque()
+        self.rows, self.drawer = max(plan, default=0), ThreadPoolExecutor(1)
+        self._draw_ahead()
+
+    def _draw_ahead(self):
+        """Queue planned blocks on the draw thread while the rows in flight
+        fit the largest block: a preamble goes with the training block."""
+        while self.plan and self.plan[0] + sum(
+                n for n, _ in self.ahead) <= self.rows:
+            n, ch = self.plan.popleft(), self.cfg.channel
+            self.ahead.append((n, self.drawer.submit(lambda n: (
+                QAM16.random_labels(self.symbols, (n, ch.n_users)),
+                noise_planes(self.noise, (n, ch.n_antennas))), n)))
 
     def at_snr(self, snr_db: float):
         power = (signal_power(self.cfg.saleh)
@@ -246,12 +261,17 @@ class _Trial:
         self.snr = 10.0 ** (snr_db / 10.0)
         self.sigma2 = power / self.snr
 
+    def __exit__(self, *exc):
+        self.drawer.shutdown(cancel_futures=True)
+
     def send(self, n: int):
-        """n random symbol vectors over the link: (labels, x, y)."""
-        labels = QAM16.random_labels(self.symbols,
-                                     (n, self.cfg.channel.n_users))
+        """The plan's next block of n symbol vectors: (labels, x, y)."""
+        if n != (planned := self.ahead[0][0] if self.ahead else None):
+            raise RuntimeError(f"send({n}) is off the draw plan ({planned})")
+        labels, planes = self.ahead.popleft()[1].result()
+        self._draw_ahead()
         return labels, QAM16.symbols(labels), transmit(
-            self.H, self.sent[labels], self.sigma2, self.noise)
+            self.H, self.sent[labels], self.sigma2, self.noise, noise=planes)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
@@ -280,7 +300,7 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def score(self, groups, models, key, n: int, chunk: int = 4096):
+    def score(self, groups, models, key, n: int, chunk: int = _CHUNK):
         """Send n payload vectors in chunks of at most chunk; each group of
         arms reads one converter output, and each arm's counts go under
         (name, *key) = (receiver, snr_db, frame), or (name/user<k>, *key)."""
@@ -327,29 +347,38 @@ def _front_end(arm, y):
     return bias_quantize(y, arm.adc) if arm.biased else quantize_iq(y, arm.adc)
 
 
+def _quasi_static_plan(cfg: ExperimentConfig) -> list:
+    """Block sizes in draw order: per SNR point the preamble (none for an
+    ideal converter), the training block and the payload in chunks."""
+    n = cfg.payload_len
+    return len(cfg.snr_db_list) * (
+        [cfg.preamble_len] * (cfg.adc.bits is not None) + [cfg.training_len]
+        + [min(_CHUNK, n - done) for done in range(0, n, _CHUNK)])
+
+
 def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
     """One quasi-static trial; arms_at(cfg, adc) lists the arms behind
     the converter calibrated at each SNR point."""
-    t = _Trial(cfg, trial)
-    t.H = realize(draw_process(replace(cfg.channel, velocity_mps=0.0),
-                               t.channel_seed), 0)
-    for snr_db in cfg.snr_db_list:
-        t.at_snr(snr_db)
-        preamble = (None if cfg.adc.bits is None
-                    else t.send(cfg.preamble_len)[2])
-        groups = {}  # arms that share one converter output
-        for arm in arms_at(cfg, t.calibrate(preamble)):
-            groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
-        _, x, y = t.send(cfg.training_len)
-        models = {}
-        for group in groups.values():
-            R = _front_end(group[0], y)
-            for arm in group:
-                models[arm.name] = arm.train(t, R, x)
-            del R   # hold one converter output at a time
-        del x, y   # and no training block while scoring
-        t.score(groups.values(), models, (snr_db, -1), cfg.payload_len)
-    return t.counts
+    with _Trial(cfg, trial, _quasi_static_plan(cfg)) as t:
+        t.H = realize(draw_process(replace(cfg.channel, velocity_mps=0.0),
+                                   t.channel_seed), 0)
+        for snr_db in cfg.snr_db_list:
+            t.at_snr(snr_db)
+            preamble = (None if cfg.adc.bits is None
+                        else t.send(cfg.preamble_len)[2])
+            groups = {}  # arms that share one converter output
+            for arm in arms_at(cfg, t.calibrate(preamble)):
+                groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
+            _, x, y = t.send(cfg.training_len)
+            models = {}
+            for group in groups.values():
+                R = _front_end(group[0], y)
+                for arm in group:
+                    models[arm.name] = arm.train(t, R, x)
+                del R   # hold one converter output at a time
+            del x, y   # and no training block while scoring
+            t.score(groups.values(), models, (snr_db, -1), cfg.payload_len)
+        return t.counts
 
 
 def _sweep_arms(cfg: ExperimentConfig, adc: AdcConfig):
@@ -376,43 +405,50 @@ def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
 ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 
 
-def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
-    t = _Trial(cfg, trial)
-    proc = draw_process(cfg.channel, t.channel_seed)
+def _adaptive_plan(cfg: ExperimentConfig) -> list:
+    """Block sizes in draw order: the initial block, then per frame the
+    training burst, the benchmark block and the whole payload."""
     ad = cfg.adaptive
-    snr_db = cfg.snr_db_list[0]
-    t.at_snr(snr_db)
+    return [ad.init_len] + ad.n_frames * [
+        ad.frame_training_len, ad.benchmark_training_len, ad.frame_data_len]
 
-    # The channel evolves across frames: H is sampled at each frame's
-    # first symbol index and held for that frame (block fading), which
-    # keeps the per-frame 3000-symbol benchmark well defined.
-    t.H = realize(proc, 0)
-    _, x0, y0 = t.send(ad.init_len)
-    adc = t.calibrate(y0)
-    state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
-                       ad.forgetting)
-    frozen_w = t.solve("oselm", oselm_weights, state)
-    arms = [_Arm(name, adc, *_RECEIVERS["natural-elm"])
-            for name in ADAPTIVE_VARIANTS]
 
-    frame_len = ad.frame_training_len + ad.frame_data_len
-    for f in range(ad.n_frames):
-        t.H = realize(proc, ad.init_len + f * frame_len)
-        # adaptive update on the frame's training burst
-        _, x_t, y_t = t.send(ad.frame_training_len)
-        state = oselm_update(state, bias_quantize(y_t, adc), x_t)
-        # benchmark: batch retrain assuming a long training block is
-        # available within the frame
-        _, x_b, y_b = t.send(ad.benchmark_training_len)
-        bench_w = t.solve("oselm", train_natural_elm,
-                          bias_quantize(y_b, adc), x_b)
-        oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
-        # frame payload, sent whole: chunking it would change the order
-        # of the noise draws
-        t.score([arms], dict(zip(ADAPTIVE_VARIANTS,
-                                 (oselm_w, bench_w, frozen_w))),
-                (snr_db, f), ad.frame_data_len, chunk=ad.frame_data_len)
-    return t.counts
+def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
+    with _Trial(cfg, trial, _adaptive_plan(cfg)) as t:
+        proc = draw_process(cfg.channel, t.channel_seed)
+        ad = cfg.adaptive
+        snr_db = cfg.snr_db_list[0]
+        t.at_snr(snr_db)
+
+        # The channel evolves across frames: H is sampled at each frame's
+        # first symbol index and held for that frame (block fading), which
+        # keeps the per-frame 3000-symbol benchmark well defined.
+        t.H = realize(proc, 0)
+        _, x0, y0 = t.send(ad.init_len)
+        adc = t.calibrate(y0)
+        state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
+                           ad.forgetting)
+        frozen_w = t.solve("oselm", oselm_weights, state)
+        arms = [_Arm(name, adc, *_RECEIVERS["natural-elm"])
+                for name in ADAPTIVE_VARIANTS]
+
+        frame_len = ad.frame_training_len + ad.frame_data_len
+        for f in range(ad.n_frames):
+            t.H = realize(proc, ad.init_len + f * frame_len)
+            # adaptive update on the frame's training burst
+            _, x_t, y_t = t.send(ad.frame_training_len)
+            state = oselm_update(state, bias_quantize(y_t, adc), x_t)
+            # benchmark: batch retrain assuming a long training block is
+            # available within the frame
+            _, x_b, y_b = t.send(ad.benchmark_training_len)
+            bench_w = t.solve("oselm", train_natural_elm,
+                              bias_quantize(y_b, adc), x_b)
+            oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
+            # the payload is one block: chunks would reorder the noise draws
+            t.score([arms], dict(zip(ADAPTIVE_VARIANTS,
+                                     (oselm_w, bench_w, frozen_w))),
+                    (snr_db, f), ad.frame_data_len, chunk=ad.frame_data_len)
+        return t.counts
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,21 @@ def test_ridge_rejects_negative_gamma_and_bad_shapes():
         ridge_solve(np.ones(4), np.ones((4, 1)), 1.0)
 
 
+def _complex_block(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("complex_arg", ["Z", "T"])
+def test_ridge_refuses_complex_input(complex_arg):
+    # a cast to float would fit the real parts alone, with only a warning
+    rng = np.random.default_rng(12)
+    args = {"Z": rng.standard_normal((50, 4)),
+            "T": rng.standard_normal((50, 2))}
+    args[complex_arg] = _complex_block(rng, args[complex_arg].shape)
+    with pytest.raises(ValueError, match=f"{complex_arg} must be real"):
+        ridge_solve(args["Z"], args["T"], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # real-composite embedding
 
@@ -111,6 +126,16 @@ def test_rls_init_multiply_back():
     assert np.allclose(st.G @ st.beta, st.C, atol=1e-9)
 
 
+@pytest.mark.parametrize("complex_arg", ["R0", "T0"])
+def test_rls_init_refuses_complex_input(complex_arg):
+    rng = np.random.default_rng(13)
+    args = {"R0": rng.standard_normal((20, 4)),
+            "T0": rng.standard_normal((20, 2))}
+    args[complex_arg] = _complex_block(rng, args[complex_arg].shape)
+    with pytest.raises(ValueError, match=f"{complex_arg} must be real"):
+        rls_init(args["R0"], args["T0"], 1.0)
+
+
 def test_rls_state_validation():
     with pytest.raises(ValueError, match="forgetting"):
         RlsState(G=np.eye(2), C=np.zeros((2, 1)), lam=0.0)
@@ -132,6 +157,17 @@ def test_rls_step_zero_error_leaves_beta():
     r = rng.standard_normal(4)
     st2 = rls_step(st, r, beta_true.T @ r)
     assert np.allclose(st2.beta, st.beta, atol=1e-10)
+
+
+@pytest.mark.parametrize("complex_arg", ["r", "t"])
+def test_rls_step_refuses_complex_input(complex_arg):
+    rng = np.random.default_rng(14)
+    st = rls_init(rng.standard_normal((20, 4)), rng.standard_normal((20, 2)),
+                  1.0)
+    args = {"r": rng.standard_normal(4), "t": rng.standard_normal(2)}
+    args[complex_arg] = _complex_block(rng, args[complex_arg].shape)
+    with pytest.raises(ValueError, match=f"{complex_arg} must be real"):
+        rls_step(st, args["r"], args["t"])
 
 
 def test_rls_lambda_one_equals_batch_ridge_each_step():

@@ -8,8 +8,9 @@ from elm_mimo.bounds import BOUNDS
 from elm_mimo.core import real_stack
 from elm_mimo import harness
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
-                               calibrate_adc, ideal_adc, pa_distort, quantize,
-                               quantize_iq, signal_power, transmit)
+                               calibrate_adc, ideal_adc, noise_planes,
+                               pa_distort, quantize, quantize_iq,
+                               signal_power, transmit)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +347,12 @@ def test_draw_biases_range_and_freeze():
             adc=harness.ConverterConfig(bits=bits, bias_scale=0.1))
         n = cfg.channel.n_antennas
         y = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
-        adc = harness._Trial(cfg, 0).calibrate(y)
+        adc = harness._Trial(cfg, 0, ()).calibrate(y)
         assert adc.bits == bits
         for b in (adc.bias_re, adc.bias_im):
             assert b.shape == (n,) and np.abs(b).max() <= 0.1
         assert not np.array_equal(adc.bias_re, adc.bias_im)
-        again = harness._Trial(cfg, 0).calibrate(y)
+        again = harness._Trial(cfg, 0, ()).calibrate(y)
         assert np.array_equal(again.bias_re, adc.bias_re)
         assert np.array_equal(again.bias_im, adc.bias_im)
         assert np.array_equal(bias_quantize(y, adc), bias_quantize(y, again))
@@ -482,6 +483,43 @@ def test_transmit_matches_reference(n, k, layout, m, sigma2, saleh, seed):
     assert np.array_equal(got, want)
     # the same draws, in the same order
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 64), max_size=3), st.integers(0, 2**32 - 1))
+def test_noise_planes_are_two_sequential_draws(shape, seed):
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    planes = noise_planes(rngs[0], tuple(shape))
+    want = [rngs[1].standard_normal(tuple(shape)) for _ in range(2)]
+    assert planes.shape == (2, *shape) and planes.dtype == np.float64
+    assert np.array_equal(planes[0], want[0])
+    assert np.array_equal(planes[1], want[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.sampled_from((None, 1, 40)),
+       st.sampled_from((0.0, 1e-3, 0.5, 40.0)), st.none() | _salehs,
+       st.integers(0, 2**32 - 1))
+def test_transmit_with_drawn_planes_matches_own_draws(n, k, m, sigma2, saleh,
+                                                      seed):
+    # the trial engine draws the planes ahead and hands them in
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    x = QAM16.symbols(QAM16.random_labels(rng, (k,) if m is None else (m, k)))
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    planes = noise_planes(rngs[1], (n,) if m is None else (m, n))
+    got = transmit(H, x, sigma2, rngs[1], saleh, noise=planes)
+    want = transmit(H, x, sigma2, rngs[0], saleh)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if sigma2 > 0:   # else transmit draws nothing and the planes go unused
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_transmit_of_real_channel_and_symbols_is_complex():
+    y = transmit(np.eye(2), np.ones(2), 0.5, np.random.default_rng(0))
+    assert y.dtype == complex and np.all(y.imag != 0)
 
 
 @settings(max_examples=100, deadline=None)

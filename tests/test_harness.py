@@ -7,6 +7,9 @@ import math
 import numbers
 import os
 import re
+import sys
+import threading
+import time
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -1008,3 +1011,105 @@ def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
         init_len=300, frame_training_len=20, frame_data_len=50,
         benchmark_training_len=300, n_frames=1)))
     assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# the draw plan and the draw thread
+
+
+def test_send_off_the_draw_plan_raises():
+    cfg = _small_config()
+    with harness._Trial(cfg, 0, [5, 7]) as t:
+        t.H = np.ones((cfg.channel.n_antennas, cfg.channel.n_users), complex)
+        t.at_snr(10.0)
+        with pytest.raises(RuntimeError, match="draw plan"):
+            t.send(7)
+        assert t.send(5)[2].shape == (5, cfg.channel.n_antennas)
+        assert t.send(7)[0].shape == (7, cfg.channel.n_users)
+        with pytest.raises(RuntimeError, match="draw plan"):
+            t.send(1)
+
+
+def _plan_runs():
+    """A sweep over three payload chunks, with and without a preamble, an
+    ablation and an adaptive run of two frames."""
+    cfg = _small_config(trials=1, payload_len=9000, snr_db_list=(10.0,))
+    adaptive = replace(cfg, adaptive=AdaptiveConfig(
+        init_len=300, frame_training_len=20, frame_data_len=50,
+        benchmark_training_len=300, n_frames=2))
+    return [(run_ser_sweep, cfg),
+            (run_ser_sweep, replace(cfg, adc=ConverterConfig(bits=None))),
+            (run_bias_ablation, cfg), (run_adaptive, adaptive)]
+
+
+def test_every_trial_uses_up_its_draw_plan(monkeypatch):
+    left = []
+    exit_ = harness._Trial.__exit__
+
+    def recording_exit(t, *exc):
+        left.append((list(t.ahead), list(t.plan)))
+        return exit_(t, *exc)
+
+    monkeypatch.setattr(harness._Trial, "__exit__", recording_exit)
+    runs = _plan_runs()
+    for run, cfg in runs:
+        run(cfg)
+    assert left == [([], [])] * len(runs)
+
+
+def test_draws_in_flight_fit_the_largest_block():
+    # blocks go ahead together while their rows fit the plan's largest
+    # block, so the training block is ready when the preamble is taken
+    cfg = _small_config()
+    chunk = harness._CHUNK
+    plan = [500, 3000, chunk, chunk + 1, 10, 20]
+    in_flight = [[500, 3000], [3000], [chunk], [chunk + 1], [10, 20], [20],
+                 []]
+    with harness._Trial(cfg, 0, plan) as t:
+        t.H = np.ones((cfg.channel.n_antennas, cfg.channel.n_users), complex)
+        t.at_snr(10.0)
+        seen = [[n for n, _ in t.ahead]]
+        for n in plan:
+            t.send(n)
+            seen.append([n for n, _ in t.ahead])
+    assert seen == in_flight
+
+
+@pytest.mark.parametrize("run, readout", [
+    (run_ser_sweep, "natural-elm"), (run_bias_ablation, "natural-elm"),
+    (run_adaptive, "oselm")])
+def test_no_draw_thread_outlives_a_run(run, readout):
+    before = set(threading.enumerate())
+    run(_small_config(trials=1, payload_len=400,
+                      adaptive=AdaptiveConfig(n_frames=1)))
+    assert set(threading.enumerate()) == before
+    # a run that ends in the singular-readout error joins its thread too
+    with pytest.raises(ValueError, match=f"gamma.{readout}"):
+        run(_small_config(adc=ConverterConfig(headroom=1e6, bias_scale=1e6)))
+    assert set(threading.enumerate()) == before
+
+
+def test_csv_bytes_do_not_depend_on_draw_timing(tmp_path, monkeypatch):
+    # a draw thread that lags the receivers changes nothing in the output
+    def csv_bytes(run, cfg):
+        path = tmp_path / "out.csv"
+        write_csv(run(cfg), path)
+        return path.read_bytes()
+
+    runs = _plan_runs()
+    prompt = [csv_bytes(run, cfg) for run, cfg in runs]
+    draws, planes = [], harness.noise_planes
+
+    def late_planes(rng, shape):
+        time.sleep(0.005)
+        draws.append(threading.current_thread())
+        return planes(rng, shape)
+
+    monkeypatch.setattr(harness, "noise_planes", late_planes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # and the two threads trade turns often
+    try:
+        assert [csv_bytes(run, cfg) for run, cfg in runs] == prompt
+    finally:
+        sys.setswitchinterval(interval)
+    assert draws and threading.current_thread() not in draws

@@ -72,6 +72,13 @@ def test_train_zf_direct_is_the_natural_elm_fit_on_the_stack():
     assert np.array_equal(w.beta_im, want.beta_im)
 
 
+def test_train_zf_direct_refuses_complex_rows():
+    # complex rows used to be fitted on their real parts alone
+    H, labels, X, Y = _toy_system(seed=3)
+    with pytest.raises(ValueError, match="must be real"):
+        train_zf_direct(Y, X, 0.1)
+
+
 def test_trained_zf_left_inverse_noise_free():
     # gamma -> 0 LS recovers a left inverse of the real-composite channel
     H, labels, X, Y = _toy_system(seed=4, M=200)
