@@ -71,7 +71,7 @@ class ChannelProcess:
     aoas: np.ndarray           # (K, R)
     gains: np.ndarray          # (K, R) complex
     dopplers: np.ndarray       # (K, R) Hz
-    steering: np.ndarray = field(repr=False, default=None)  # (N, K, R)
+    steering: np.ndarray = field(repr=False)  # (N, K, R)
 
 
 def _truncated_laplacian(rng: np.random.Generator, scale: float,

@@ -97,8 +97,7 @@ class RlsState:
     lam: float
 
     def __post_init__(self):
-        self.G = np.asarray(self.G, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
+        self.G, self.C = _real(self.G, "G"), _real(self.C, "C")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
         if self.G.ndim != 2 or self.G.shape[0] != self.G.shape[1]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import MIN_CALIBRATION, check
+from .core import _real
 
 __all__ = [
     "Qam16",
@@ -207,7 +208,7 @@ def quantize(c, adc: AdcConfig):
     bits = None the input is only clipped to [-F, F] (or passed through
     when F is infinite).  Each of the three quantizers returns a new array.
     """
-    return _quantize_in_place(np.array(c, dtype=float), adc)
+    return _quantize_in_place(np.array(_real(c, "c")), adc)
 
 
 def quantize_iq(y, adc: AdcConfig):
@@ -234,7 +235,7 @@ def bias_quantize(y, adc: AdcConfig):
 
 def calibrate_adc(samples, bits: int, headroom: float = 3.0) -> AdcConfig:
     """Set the full scale to headroom times the RMS of a real preamble."""
-    samples = np.asarray(samples, dtype=float).ravel()
+    samples = _real(samples, "samples").ravel()
     if samples.size < MIN_CALIBRATION:
         raise ValueError(f"need at least {MIN_CALIBRATION} samples")
     rms = float(np.sqrt(np.mean(samples ** 2)))

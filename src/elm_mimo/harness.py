@@ -19,13 +19,14 @@ of all three, keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
-noise, symbols, biases and borrowed-ELM weights.  The draw order within
-each stream is part of the CSV contract: per SNR point the biases, then
-the blocks of `_quasi_static_plan`; in the adaptive experiment the
-blocks of `_adaptive_plan`.  Symbols and noise are drawn up to a block
-ahead, in that order, on a thread of their own, so the bytes do not
-depend on its timing.  Trials merge by summation, so the outcome does
-not depend on the degree of parallelism.
+noise, symbols, biases and borrowed-ELM weights; the channel process is
+drawn when the trial opens.  The draw order within each stream is part
+of the CSV contract: per SNR point the biases, then the blocks of
+`_quasi_static_plan`; in the adaptive experiment the blocks of
+`_adaptive_plan`.  Symbols and noise are drawn up to a block ahead, in
+that order, on a thread of their own, so the bytes do not depend on its
+timing.  Trials merge by summation, so the outcome does not depend on
+the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ import numbers
 import os
 from collections import deque, namedtuple
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -229,21 +229,39 @@ def write_csv(records, path):
 # Trials: shared machinery and the quasi-static engine
 
 
-class _Trial(AbstractContextManager):
-    """One trial's RNG streams, current channel matrix and noise level,
-    and its counts per record key; it draws its plan's blocks ahead."""
+class _Trial:
+    """One trial's channel process, RNG streams, current channel matrix,
+    noise level and counts per record key.  Its `with` block runs on one
+    BLAS thread and a draw thread that draws the plan's blocks ahead."""
 
     def __init__(self, cfg: ExperimentConfig, trial: int, plan):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
-        self.cfg, self.channel_seed, self.counts = cfg, kids[0], {}
+        self.cfg, self.counts = cfg, {}
+        self.channel = draw_process(cfg.channel, kids[0])
         self.H = self.snr = self.sigma2 = None
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
         self.plan, self.ahead = deque(plan), deque()
-        self.rows, self.drawer = max(plan, default=0), ThreadPoolExecutor(1)
+        self.rows = max(plan, default=0)
+
+    def __enter__(self):
+        """One thread per bundled OpenBLAS (a second only spin-waits)."""
+        self.blas = [(_SETTER((put, lib)), _GETTER((get, lib))())
+                     for lib in _loaded_openblas()
+                     for get, put in _OPENBLAS_THREADS
+                     if hasattr(lib, get) and hasattr(lib, put)]
+        for put, _ in self.blas:
+            put(1)
+        self.drawer = ThreadPoolExecutor(1)
         self._draw_ahead()
+        return self
+
+    def __exit__(self, *exc):
+        self.drawer.shutdown(cancel_futures=True)
+        for put, n in self.blas:
+            put(n)
 
     def _draw_ahead(self):
         """Queue planned blocks on the draw thread while the rows in flight
@@ -261,9 +279,6 @@ class _Trial(AbstractContextManager):
         self.snr = 10.0 ** (snr_db / 10.0)
         self.sigma2 = power / self.snr
 
-    def __exit__(self, *exc):
-        self.drawer.shutdown(cancel_futures=True)
-
     def send(self, n: int):
         """The plan's next block of n symbol vectors: (labels, x, y)."""
         if n != (planned := self.ahead[0][0] if self.ahead else None):
@@ -271,7 +286,7 @@ class _Trial(AbstractContextManager):
         labels, planes = self.ahead.popleft()[1].result()
         self._draw_ahead()
         return labels, QAM16.symbols(labels), transmit(
-            self.H, self.sent[labels], self.sigma2, self.noise, noise=planes)
+            self.H, self.sent[labels], self.sigma2, None, noise=planes)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
@@ -360,8 +375,7 @@ def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
     """One quasi-static trial; arms_at(cfg, adc) lists the arms behind
     the converter calibrated at each SNR point."""
     with _Trial(cfg, trial, _quasi_static_plan(cfg)) as t:
-        t.H = realize(draw_process(replace(cfg.channel, velocity_mps=0.0),
-                                   t.channel_seed), 0)
+        t.H = realize(t.channel, 0)
         for snr_db in cfg.snr_db_list:
             t.at_snr(snr_db)
             preamble = (None if cfg.adc.bits is None
@@ -415,7 +429,6 @@ def _adaptive_plan(cfg: ExperimentConfig) -> list:
 
 def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
     with _Trial(cfg, trial, _adaptive_plan(cfg)) as t:
-        proc = draw_process(cfg.channel, t.channel_seed)
         ad = cfg.adaptive
         snr_db = cfg.snr_db_list[0]
         t.at_snr(snr_db)
@@ -423,7 +436,7 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
         # The channel evolves across frames: H is sampled at each frame's
         # first symbol index and held for that frame (block fading), which
         # keeps the per-frame 3000-symbol benchmark well defined.
-        t.H = realize(proc, 0)
+        t.H = realize(t.channel, 0)
         _, x0, y0 = t.send(ad.init_len)
         adc = t.calibrate(y0)
         state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
@@ -434,7 +447,7 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
 
         frame_len = ad.frame_training_len + ad.frame_data_len
         for f in range(ad.n_frames):
-            t.H = realize(proc, ad.init_len + f * frame_len)
+            t.H = realize(t.channel, ad.init_len + f * frame_len)
             # adaptive update on the frame's training burst
             _, x_t, y_t = t.send(ad.frame_training_len)
             state = oselm_update(state, bias_quantize(y_t, adc), x_t)
@@ -453,11 +466,6 @@ def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Runners: parallel trial execution + order-independent merge
-
-
-def _pool_shape(n_jobs: int, trials: int, nproc: int) -> int:
-    """Worker processes: at most n_jobs, one per trial and per core."""
-    return min(n_jobs, trials, nproc)
 
 
 def _cpu_count() -> int:
@@ -494,34 +502,18 @@ def _loaded_openblas() -> tuple:
     return tuple(libs)
 
 
-def _pinned(worker, cfg: ExperimentConfig, trial: int) -> dict:
-    """worker(cfg, trial) with each bundled OpenBLAS on one thread, given
-    back its count after: a second thread per library only spin-waits."""
-    pins = [(_GETTER((get, lib)), _SETTER((put, lib)))
-            for lib in _loaded_openblas() for get, put in _OPENBLAS_THREADS
-            if hasattr(lib, get) and hasattr(lib, put)]
-    before = [get() for get, _ in pins]
-    for _, put in pins:
-        put(1)
-    try:
-        return worker(cfg, trial)
-    finally:
-        for (_, put), n in zip(pins, before):
-            put(n)
-
-
 def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
     """Run every trial and merge their counts into sorted records."""
     if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
             or n_jobs < 1):
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
-    workers = _pool_shape(n_jobs, cfg.trials, _cpu_count())
+    workers = min(n_jobs, cfg.trials, _cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(_pinned, worker),
-                                    [cfg] * cfg.trials, range(cfg.trials)))
+            results = list(pool.map(worker, [cfg] * cfg.trials,
+                                    range(cfg.trials)))
     else:
-        results = [_pinned(worker, cfg, t) for t in range(cfg.trials)]
+        results = [worker(cfg, t) for t in range(cfg.trials)]
     merged = {}
     for counts in results:
         for key, (sym, err) in counts.items():

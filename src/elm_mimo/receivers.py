@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .core import (RlsState, factor, gram, real_stack, ridge_solve, rls_init,
-                   rls_step)
+from .core import (RlsState, _real, factor, gram, real_stack, ridge_solve,
+                   rls_init, rls_step)
 from .frontend import QAM16
 
 __all__ = [
@@ -132,7 +132,7 @@ def train_borrowed_elm(R: np.ndarray, X_train: np.ndarray, gamma: float,
                        weight_scale: float = 0.1) -> BorrowedElmModel:
     """Train on unbiased quantized stacks R (M x 2N); input weights and
     hidden biases are uniform on [-weight_scale, weight_scale]."""
-    R = np.asarray(R, dtype=float)
+    R = _real(R, "R")
     if hidden_size < 1:
         raise ValueError("hidden_size must be >= 1")
     W_in = rng.uniform(-weight_scale, weight_scale, (hidden_size, R.shape[1]))
@@ -159,7 +159,7 @@ def oselm_init(R0: np.ndarray, X0: np.ndarray, gamma: float,
 def oselm_update(state: RlsState, R_chunk: np.ndarray,
                  X_chunk: np.ndarray) -> RlsState:
     """Consume a chunk of (r', x) training pairs in arrival order."""
-    R_chunk = np.atleast_2d(np.asarray(R_chunk, dtype=float))
+    R_chunk = np.atleast_2d(_real(R_chunk, "R_chunk"))
     X_chunk = np.atleast_2d(np.asarray(X_chunk))
     for r, t in zip(R_chunk, real_stack(X_chunk)):
         state = rls_step(state, r, t)

@@ -7,6 +7,8 @@ from hypothesis.strategies import floats, integers
 
 from elm_mimo.core import (RlsState, gram, real_composite, real_stack,
                            ridge_solve, rls_init, rls_step)
+from elm_mimo.frontend import AdcConfig, calibrate_adc, quantize
+from elm_mimo.receivers import oselm_init, oselm_update, train_borrowed_elm
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,30 @@ def test_rls_step_refuses_complex_input(complex_arg):
     args[complex_arg] = _complex_block(rng, args[complex_arg].shape)
     with pytest.raises(ValueError, match=f"{complex_arg} must be real"):
         rls_step(st, args["r"], args["t"])
+
+
+_SYMBOLS = np.ones((200, 2), complex)
+# entry points outside the solvers that take real input, keyed by the
+# argument that gets the complex block
+_REAL_INPUTS = {
+    "c": lambda z: quantize(z, AdcConfig(bits=4, full_scale=1.0)),
+    "samples": lambda z: calibrate_adc(z, 4),
+    "R": lambda z: train_borrowed_elm(z, _SYMBOLS, 1.0, 8,
+                                      np.random.default_rng(0)),
+    "R_chunk": lambda z: oselm_update(
+        oselm_init(np.eye(4), _SYMBOLS[:4], 1.0, 0.9), z, _SYMBOLS),
+    "G": lambda z: RlsState(G=z[:4], C=np.zeros((4, 1)), lam=1.0),
+    "C": lambda z: RlsState(G=np.eye(4), C=z[:4], lam=1.0),
+}
+
+
+@pytest.mark.parametrize("arg", _REAL_INPUTS)
+def test_real_input_entry_points_refuse_complex_input(arg):
+    # a cast to float would keep the real parts alone, with only a warning
+    z = _complex_block(np.random.default_rng(15), (200, 4))
+    with pytest.raises(ValueError, match=f"^{arg} must be real"):
+        _REAL_INPUTS[arg](z)
+    _REAL_INPUTS[arg](z.real)   # the same block, real, goes through
 
 
 def test_rls_lambda_one_equals_batch_ridge_each_step():

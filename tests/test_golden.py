@@ -62,3 +62,13 @@ def test_golden_csv(tmp_path, run, overrides, digest):
     path = tmp_path / "out.csv"
     write_csv(run(_config(**overrides)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["sweep", "ablation"])
+def test_quasi_static_runs_ignore_velocity(tmp_path, name):
+    # a quasi-static channel is the process at t = 0, where no Doppler
+    # phase has turned, so a 30 m/s config gives the 0 m/s bytes
+    _, run, overrides, digest = next(g for g in GOLDEN if g[0] == name)
+    path = tmp_path / "out.csv"
+    write_csv(run(_config(velocity_mps=30.0, **overrides)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -408,6 +408,30 @@ def _blas_threads():
     return counts
 
 
+def _trial_blas_threads(cfg, trial):
+    """A trial that reports its process and the BLAS thread counts it
+    runs under, as a record key."""
+    with harness._Trial(cfg, trial, []):
+        return {(os.getpid(), tuple(_blas_threads()), -1): (1, 0)}
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and
+    runs the first trial in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def map(self, worker, cfgs, trials):
+        return [worker(cfgs[0], trials[0])]
+
+
 @pytest.mark.parametrize("n_jobs, trials, nproc, shape", [
     (1, 8, 4, (1, 1)),
     (2, 8, 4, (2, 1)),
@@ -418,25 +442,25 @@ def _blas_threads():
     (4, 8, 1, (1, 1)),
     (10**6, 10**6, 2, (2, 1)),
 ])
-def test_pool_shape_caps_workers_and_pins_one_blas_thread(n_jobs, trials,
-                                                          nproc, shape):
-    # shape = (workers, BLAS threads per trial): _pool_shape caps the
-    # workers, and _pinned runs every trial on one BLAS thread whatever
-    # the worker count
-    seen = harness._pinned(lambda cfg, t: set(_blas_threads()), None, 0)
-    assert (harness._pool_shape(n_jobs, trials, nproc),
-            max(seen, default=1)) == shape
+def test_pool_shape_caps_workers_and_pins_one_blas_thread(
+        monkeypatch, n_jobs, trials, nproc, shape):
+    # shape = (workers, BLAS threads per trial): _run_trials starts at
+    # most n_jobs workers, one per trial and per core, and a _Trial runs
+    # on one BLAS thread whatever the worker count
+    sizes = []
+    monkeypatch.setattr(harness, "_cpu_count", lambda: nproc)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    recs = harness._run_trials("blas", _trial_blas_threads,
+                               _small_config(trials=trials), n_jobs)
+    seen = {n for rec in recs for n in rec.snr_db}
+    assert (max(sizes, default=1), max(seen, default=1)) == shape
+    assert len(sizes) == (shape[0] > 1)
 
 
 def _needs_openblas():
     if not _blas_threads():
         pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
-
-
-def _trial_blas_threads(cfg, trial):
-    """A trial that reports its process and the BLAS thread counts it
-    runs under, as a record key."""
-    return {(os.getpid(), tuple(_blas_threads()), -1): (1, 0)}
 
 
 def _threads_in_trials(n_jobs):
@@ -495,6 +519,10 @@ def test_runs_give_the_caller_its_blas_threads_back(caller_blas_threads,
     cfg = _small_config(trials=1, snr_db_list=(10.0,), payload_len=200,
                         adaptive=AdaptiveConfig(n_frames=1))
     run(cfg)
+    assert _blas_threads() == caller_blas_threads
+    # also when the trial ends in the singular-readout error
+    with pytest.raises(ValueError, match="singular"):
+        run(replace(cfg, adc=ConverterConfig(headroom=1e6, bias_scale=1e6)))
     assert _blas_threads() == caller_blas_threads
 
 
