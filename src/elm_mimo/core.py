@@ -8,7 +8,7 @@ Everything operates on plain float64 / complex128 ndarrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import copy
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -85,30 +85,64 @@ def real_stack(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag], axis=-1)
 
 
-@dataclass
 class RlsState:
     """Exponentially weighted ridge fit as its normal equations G beta = C:
     after n samples (r_i, t_i) past a batch (R0, T0), G = lam^n (R0^T R0
     + gamma I) + sum_i lam^(n-i) r_i r_i^T, C likewise from R0^T T0 and
-    r_i t_i^T.  lam is the forgetting factor in (0, 1]."""
+    r_i t_i^T.  lam is the forgetting factor in (0, 1].
 
-    G: np.ndarray      # (L, L)
-    C: np.ndarray      # (L, V)
-    lam: float
+    A state is a folded base (G0, C0) and the samples rls_step queued
+    since, oldest first; states share their base arrays and never write
+    them.  Reading G, C or beta folds the n queued rows R, T once, as one
+    weighted rank-n product: G = lam^n G0 + (w R)^T R and C = lam^n C0
+    + (w R)^T T with w_i = lam^(n-1-i).  G and C read back read-only.
+    """
 
-    def __post_init__(self):
-        self.G, self.C = _real(self.G, "G"), _real(self.C, "C")
+    def __init__(self, G: np.ndarray, C: np.ndarray, lam: float):
+        self._G, self._C = _real(G, "G"), _real(C, "C")   # (L, L), (L, V)
+        self.lam = lam
+        self._queue = ()    # ((r, t), ...) not yet in G and C, oldest first
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("forgetting factor must be in (0, 1]")
-        if self.G.ndim != 2 or self.G.shape[0] != self.G.shape[1]:
+        if self._G.ndim != 2 or self._G.shape[0] != self._G.shape[1]:
             raise ValueError("G must be square")
-        if self.C.shape[0] != self.G.shape[0]:
+        if self._C.ndim != 2:
+            raise ValueError("C must be a 2-D (L, V) matrix")
+        if self._C.shape[0] != self._G.shape[0]:
             raise ValueError("C rows must match G")
+
+    def fold(self) -> RlsState:
+        """Move the queued samples into G and C now; returns self."""
+        if self._queue:
+            R = np.array([r for r, _ in self._queue])
+            T = np.array([t for _, t in self._queue])
+            n = len(R)
+            wR = R * (self.lam ** np.arange(n - 1, -1, -1.0))[:, None]
+            G = self.lam ** n * self._G
+            G += wR.T @ R
+            C = self.lam ** n * self._C
+            C += wR.T @ T
+            self._G, self._C, self._queue = G, C, ()
+        return self
+
+    @property
+    def G(self) -> np.ndarray:
+        return _read_only(self.fold()._G)
+
+    @property
+    def C(self) -> np.ndarray:
+        return _read_only(self.fold()._C)
 
     @property
     def beta(self) -> np.ndarray:
         """Output weights (L, V), the solution of G beta = C."""
         return cho_solve(factor(self.G), self.C)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
@@ -123,11 +157,18 @@ def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
 
 
 def rls_step(state: RlsState, r: np.ndarray, t: np.ndarray) -> RlsState:
-    """Fold in one sample, regressor r (length L) and target t (length V):
-    G <- lam G + r r^T, C <- lam C + r t^T.  Returns a new state."""
-    r, t = _real(r, "r"), np.atleast_1d(_real(t, "t"))
-    G = state.lam * state.G
-    G += np.outer(r, r)
-    C = state.lam * state.C
-    C += np.outer(r, t)
-    return RlsState(G=G, C=C, lam=state.lam)
+    """Add one sample, regressor r (length L) and target t (length V):
+    G <- lam G + r r^T, C <- lam C + r t^T.  Returns a new state.
+
+    The new state queues copies of r and t behind the parent's queue, in
+    O(L + V), and the fold applies them; a parent already queueing L
+    rows is folded first, so no queue outgrows G."""
+    r, t = _real(r, "r").copy(), np.atleast_1d(_real(t, "t")).copy()
+    if (r.shape, t.shape) != ((len(state._G),), (state._C.shape[1],)):
+        raise ValueError("r must have length L and t length V of the "
+                         "state's (L, V) C")
+    if len(state._queue) == len(state._G):
+        state.fold()
+    child = copy(state)
+    child._queue = state._queue + ((r, t),)
+    return child

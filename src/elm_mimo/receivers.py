@@ -158,12 +158,16 @@ def oselm_init(R0: np.ndarray, X0: np.ndarray, gamma: float,
 
 def oselm_update(state: RlsState, R_chunk: np.ndarray,
                  X_chunk: np.ndarray) -> RlsState:
-    """Consume a chunk of (r', x) training pairs in arrival order."""
+    """Consume a chunk of (r', x) training pairs in arrival order, one
+    rls_step each; the state comes back with the chunk folded in."""
     R_chunk = np.atleast_2d(_real(R_chunk, "R_chunk"))
     X_chunk = np.atleast_2d(np.asarray(X_chunk))
+    if len(R_chunk) != len(X_chunk):
+        raise ValueError(f"R_chunk has {len(R_chunk)} rows but X_chunk has "
+                         f"{len(X_chunk)}; each training pair needs both")
     for r, t in zip(R_chunk, real_stack(X_chunk)):
         state = rls_step(state, r, t)
-    return state
+    return state.fold()
 
 
 def oselm_weights(state: RlsState, gamma: float) -> RealImagWeights:

@@ -3,7 +3,7 @@ embedding, and the forgetting-factor RLS engine."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats, integers
+from hypothesis.strategies import data, floats, integers
 
 from elm_mimo.core import (RlsState, gram, real_composite, real_stack,
                            ridge_solve, rls_init, rls_step)
@@ -145,6 +145,17 @@ def test_rls_state_validation():
         RlsState(G=np.ones((2, 3)), C=np.zeros((2, 1)), lam=1.0)
     with pytest.raises(ValueError, match="rows"):
         RlsState(G=np.eye(2), C=np.zeros((3, 1)), lam=1.0)
+    with pytest.raises(ValueError, match="2-D"):
+        RlsState(G=np.eye(2), C=np.zeros(2), lam=1.0)
+
+
+@pytest.mark.parametrize("r_len, t_len", [(3, 2), (5, 2), (4, 1), (4, 3)])
+def test_rls_step_refuses_wrong_lengths(r_len, t_len):
+    # a queued sample of the wrong length would only fail at the fold
+    st = rls_init(np.eye(4), np.zeros((4, 2)), 1.0)
+    with pytest.raises(ValueError, match="length L"):
+        rls_step(st, np.ones(r_len), np.ones(t_len))
+    rls_step(st, np.ones(4), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +309,42 @@ def test_rls_gram_form_matches_inverse_form_and_weighted_ridge(
     assert np.allclose(state.beta, beta, rtol=1e-8, atol=1e-8 * scale)
     assert np.allclose(state.beta, np.linalg.solve(G, C), rtol=1e-8,
                        atol=1e-8 * scale)
+
+
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-8, atol=1e-8 * np.abs(b).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(integers(1, 8), integers(1, 3), floats(0.9, 1.0), data())
+def test_rls_queued_steps_match_eager_formula_and_stay_independent(
+        L, V, lam, draws):
+    # up to 3L steps, so the queue is folded at L rows on the way
+    n = draws.draw(integers(0, 3 * L), label="n")
+    rng = np.random.default_rng(draws.draw(integers(0, 2**32 - 1),
+                                           label="seed"))
+    R0, T0 = rng.standard_normal((2 * L, L)), rng.standard_normal((2 * L, V))
+    state = rls_init(R0, T0, 0.1, lam)
+    G, C = state.G.copy(), state.C.copy()
+    for _ in range(n):
+        r, t = rng.standard_normal(L), rng.standard_normal(V)
+        G, C = lam * G + np.outer(r, r), lam * C + np.outer(r, t)
+        state = rls_step(state, r, t)
+        r[:], t[:] = np.nan, np.nan   # the state keeps its own copies
+        assert len(state._queue) <= L   # a queue never outgrows G
+
+    # two children share the parent's queue, a third its folded base
+    kids = [(rng.standard_normal(L), rng.standard_normal(V))
+            for _ in range(2)]
+    a, b = (rls_step(state, r, t) for r, t in kids)
+    G_read, C_read = state.G.copy(), state.C.copy()
+    c = rls_step(state, *kids[0])
+    for child, (r, t) in zip((a, b, c), kids + kids[:1]):
+        assert _close(child.G, lam * G + np.outer(r, r))
+        assert _close(child.C, lam * C + np.outer(r, t))
+    assert np.array_equal(state.G, G_read)
+    assert np.array_equal(state.C, C_read)
+    assert _close(state.G, G) and _close(state.C, C)
+    assert _close(state.beta, np.linalg.solve(G, C))
+    with pytest.raises(ValueError, match="read-only"):
+        state.G[0, 0] = 0.0

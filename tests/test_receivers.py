@@ -372,6 +372,35 @@ def test_oselm_empty_chunk_is_identity():
     assert np.array_equal(state2.C, state.C)
 
 
+def test_oselm_update_returns_the_chunk_folded():
+    # the fold runs inside oselm_update, so a traced run times it there
+    rng = np.random.default_rng(23)
+    R0 = rng.standard_normal((20, 4))
+    X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+    state = oselm_init(R0, X0, 0.1, 0.98)
+    G, C = state.G.copy(), state.C.copy()
+    state = oselm_update(state, R0[:6], X0[:6])
+    assert state._queue == ()
+    for r, t in zip(R0[:6], real_stack(X0[:6])):
+        G, C = 0.98 * G + np.outer(r, r), 0.98 * C + np.outer(r, t)
+    assert np.allclose(state.G, G, rtol=1e-12)
+    assert np.allclose(state.C, C, rtol=1e-12)
+
+
+def test_oselm_update_refuses_chunks_of_unequal_length():
+    # zip would stop at the shorter chunk and drop the rest unnoticed
+    rng = np.random.default_rng(22)
+    R0 = rng.standard_normal((20, 4))
+    X0 = rng.standard_normal((20, 1)) + 1j * rng.standard_normal((20, 1))
+    state = oselm_init(R0, X0, 0.1, 0.98)
+    with pytest.raises(ValueError, match="R_chunk has 5 rows but X_chunk "
+                                         "has 3"):
+        oselm_update(state, R0[:5], X0[:3])
+    with pytest.raises(ValueError, match="R_chunk has 3 rows but X_chunk "
+                                         "has 5"):
+        oselm_update(state, R0[:3], X0[:5])
+
+
 def test_oselm_static_channel_training_mse_non_increasing():
     # repeated training chunks on a fixed channel: the fit only improves
     rng = np.random.default_rng(19)
