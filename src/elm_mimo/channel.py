@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .bounds import check
+
+SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by the SI definition of the metre
 
 __all__ = [
     "ChannelConfig",

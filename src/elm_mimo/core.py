@@ -27,8 +27,8 @@ __all__ = [
 
 def gram(Z: np.ndarray, gamma: float) -> np.ndarray:
     """Regularized Gram matrix Z^H Z + gamma I of real or complex Z."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative: {gamma!r}")
     G = Z.conj().T @ Z
     if gamma:
         G[np.diag_indices_from(G)] += gamma

@@ -135,6 +135,8 @@ def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
     result is (N,) or (M, N) accordingly.  n is sqrt(sigma2 / 2) times
     noise, the (2, *y.shape) planes, scaled in place; drawn if None.
     """
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative: {sigma2!r}")
     x = np.asarray(x)
     s = pa_distort(x, saleh) if saleh is not None else x
     y = np.asarray(s @ H.T if x.ndim == 2 else H @ s, dtype=complex)
@@ -162,13 +164,13 @@ class AdcConfig:
     bias_im: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        if self.bits is not None:
+        if self.bits is not None and not 1 <= self.bits <= 53:
             # past the 53-bit significand of a float64 sample, finer
             # levels cannot be told apart
-            if not 1 <= self.bits <= 53:
-                raise ValueError("bits must be in [1, 53]")
-            if not np.isfinite(self.full_scale) or self.full_scale <= 0:
-                raise ValueError("full_scale must be positive and finite")
+            raise ValueError("bits must be in [1, 53]")
+        if not (self.full_scale > 0 and (self.bits is None
+                                         or np.isfinite(self.full_scale))):
+            raise ValueError("full_scale must be > 0, and finite with bits")
 
     @property
     def step(self) -> float:

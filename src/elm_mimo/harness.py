@@ -23,9 +23,9 @@ noise, symbols, biases and borrowed-ELM weights; the channel process is
 drawn when the trial opens.  The draw order within each stream is part
 of the CSV contract: per SNR point the biases, then the blocks of
 `_quasi_static_plan`; in the adaptive experiment the blocks of
-`_adaptive_plan`.  Symbols and noise are drawn up to a block ahead, in
-that order, on a thread of their own, so the bytes do not depend on its
-timing.  Trials merge by summation, so the outcome does not depend on
+`_adaptive_plan`.  Symbols and noise are drawn up to two blocks ahead,
+in that order, on a thread of their own, so the bytes do not depend on
+its timing.  Trials merge by summation, so the outcome does not depend on
 the degree of parallelism.
 """
 from __future__ import annotations
@@ -244,7 +244,6 @@ class _Trial:
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
         self.plan, self.ahead = deque(plan), deque()
-        self.rows = max(plan, default=0)
 
     def __enter__(self):
         """One thread per bundled OpenBLAS (a second only spin-waits)."""
@@ -264,10 +263,8 @@ class _Trial:
             put(n)
 
     def _draw_ahead(self):
-        """Queue planned blocks on the draw thread while the rows in flight
-        fit the largest block: a preamble goes with the training block."""
-        while self.plan and self.plan[0] + sum(
-                n for n, _ in self.ahead) <= self.rows:
+        """Keep the plan's next two blocks queued on the draw thread."""
+        while self.plan and len(self.ahead) < 2:
             n, ch = self.plan.popleft(), self.cfg.channel
             self.ahead.append((n, self.drawer.submit(lambda n: (
                 QAM16.random_labels(self.symbols, (n, ch.n_users)),

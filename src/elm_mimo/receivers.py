@@ -96,7 +96,7 @@ def zf_weights(H: np.ndarray) -> np.ndarray:
 
 def mmse_weights(H: np.ndarray, snr: float) -> np.ndarray:
     """Complex combiner W = (H^H H + I/SNR)^-1 H^H, SNR in linear units."""
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError("snr must be positive")
     H, gamma = np.asarray(H, dtype=complex), 1.0 / snr
     return cho_solve(factor(gram(H, gamma), gamma), H.conj().T)

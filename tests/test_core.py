@@ -52,6 +52,13 @@ def test_ridge_singular_without_regularization():
 def test_ridge_rejects_negative_gamma_and_bad_shapes():
     with pytest.raises(ValueError):
         ridge_solve(np.eye(2), np.ones((2, 1)), -1.0)
+    # a NaN gets past a gamma < 0 test, and scipy's own error for NaN or
+    # inf names no argument
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be .*nonnegative"):
+            ridge_solve(np.eye(2), np.ones((2, 1)), gamma)
+    with pytest.raises(ValueError, match="gamma must be .*nonnegative"):
+        rls_init(np.eye(2), np.ones((2, 1)), np.nan)
     with pytest.raises(ValueError):
         ridge_solve(np.ones(4), np.ones((4, 1)), 1.0)
 

@@ -206,6 +206,15 @@ def test_transmit_noise_variance():
     assert np.mean(np.abs(y) ** 2) == pytest.approx(sigma2, rel=0.02)
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
+def test_transmit_rejects_a_bad_noise_variance(sigma2):
+    # unchecked, a negative or NaN sigma2 reads as no noise and inf gives
+    # infinite samples
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="sigma2"):
+        transmit(np.eye(2) + 0j, np.ones(2) + 0j, sigma2, rng)
+
+
 def test_transmit_batch_matches_loop():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
@@ -288,6 +297,14 @@ def test_adc_config_validation():
         AdcConfig(bits=4, full_scale=np.inf)
     with pytest.raises(ValueError):
         AdcConfig(bits=None, full_scale=1.0).step
+
+
+@pytest.mark.parametrize("full_scale", [-1.0, 0.0, np.nan])
+def test_adc_config_without_bits_needs_a_positive_full_scale(full_scale):
+    # unchecked, these clip to -1, zero the input or let it pass unclipped
+    with pytest.raises(ValueError, match="full_scale"):
+        AdcConfig(bits=None, full_scale=full_scale)
+    assert ideal_adc().full_scale == np.inf   # a passthrough stays legal
 
 
 def test_clip_only_mode():

@@ -1085,14 +1085,21 @@ def test_every_trial_uses_up_its_draw_plan(monkeypatch):
     assert left == [([], [])] * len(runs)
 
 
-def test_draws_in_flight_fit_the_largest_block():
-    # blocks go ahead together while their rows fit the plan's largest
-    # block, so the training block is ready when the preamble is taken
+CHUNK = harness._CHUNK
+
+
+@pytest.mark.parametrize("plan, in_flight", [
+    ([500, 3000, CHUNK, CHUNK + 1, 10, 20],
+     [[500, 3000], [3000, CHUNK], [CHUNK, CHUNK + 1], [CHUNK + 1, 10],
+      [10, 20], [20], []]),
+    ([3000, 300, 3000, 1700, 300, 3000, 1700],     # adaptive-shaped
+     [[3000, 300], [300, 3000], [3000, 1700], [1700, 300], [300, 3000],
+      [3000, 1700], [1700], []])])
+def test_the_next_two_blocks_are_in_flight(plan, in_flight):
+    # the block after the one taken is already drawing, so a preamble or
+    # a training burst never leaves the trial waiting for the long block
+    # after it, and no more than two blocks are ever held
     cfg = _small_config()
-    chunk = harness._CHUNK
-    plan = [500, 3000, chunk, chunk + 1, 10, 20]
-    in_flight = [[500, 3000], [3000], [chunk], [chunk + 1], [10, 20], [20],
-                 []]
     with harness._Trial(cfg, 0, plan) as t:
         t.H = np.ones((cfg.channel.n_antennas, cfg.channel.n_users), complex)
         t.at_snr(10.0)

@@ -55,12 +55,15 @@ def test_guard_sees_an_unused_import():
     assert _unused_imports(src) == ["os (line 3)"]
 
 
-def test_package_import_leaves_scipy_special_unloaded():
+@pytest.mark.parametrize("module", ["scipy.special", "scipy.constants"])
+def test_package_import_leaves_scipy_module_unloaded(module):
     # the sigmoid layer is numpy's; importing scipy.special cost every
-    # run 47-72 ms of start-up (-X importtime, 2-vCPU x86-64 VM)
+    # run 47-72 ms of start-up (-X importtime, 2-vCPU x86-64 VM).  The
+    # speed of light is written out; scipy.constants cost 12-16 ms.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import elm_mimo; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.special')))")
-    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+            "if m.startswith(sys.argv[2])))")
+    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent),
+                          module],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -239,6 +239,11 @@ def test_zf_rank_deficient_raises():
 def test_mmse_rejects_nonpositive_snr():
     with pytest.raises(ValueError):
         mmse_weights(np.eye(2, dtype=complex), 0.0)
+    with pytest.raises(ValueError, match="snr must be positive"):
+        mmse_weights(np.eye(2, dtype=complex), np.nan)
+    # an infinite SNR is gamma = 0: the ZF combiner
+    assert np.array_equal(mmse_weights(np.eye(2, dtype=complex), np.inf),
+                          np.eye(2))
 
 
 def test_zf_perfect_separation_ideal_chain():
