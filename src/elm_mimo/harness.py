@@ -6,27 +6,26 @@ A config is a tree of frozen dataclasses that check themselves; its
 JSON document is the same tree, written by `asdict` and loaded by one
 `bounds.typed` call.
 
-The quasi-static experiments share one trial engine.  A receiver is an
-arm: a converter plus a readout (train, detect) from the `_RECEIVERS`
-table that reads the converter's biased quantized stack or its unbiased
-I/Q quantization.  The sweep puts the configured receivers behind one
-converter, the ablation the natural-ELM readout behind four.  Per SNR
-point the engine calibrates the converter, trains all arms on one
-shared training block and scores them on the same payload.  The
-adaptive experiment runs its own frame loop, its three variants being
-natural-ELM arms behind one converter.  `_Trial.score` scores all arms
-of all three, keyed (receiver, snr_db, frame), frame -1 if unframed.
+One trial engine walks three plans.  A plan lists an experiment's
+blocks in draw order; the engine sends each block through the channel
+and hands it to a step that trains arms on it, first calibrating a
+converter if asked, or scores them on it.  An arm is a converter plus a
+readout (train, detect) from the `_RECEIVERS` table that reads the
+converter's biased quantized stack or its unbiased I/Q quantization.
+The sweep puts the configured receivers behind one converter and the
+ablation the natural-ELM readout behind four, calibrated per SNR point;
+the adaptive experiment puts its three variants behind one.  Counts are
+keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
 noise, symbols, biases and borrowed-ELM weights; the channel process is
 drawn when the trial opens.  The draw order within each stream is part
-of the CSV contract: per SNR point the biases, then the blocks of
-`_quasi_static_plan`; in the adaptive experiment the blocks of
-`_adaptive_plan`.  Symbols and noise are drawn up to two blocks ahead,
-in that order, on a thread of their own, so the bytes do not depend on
-its timing.  Trials merge by summation, so the outcome does not depend on
-the degree of parallelism.
+of the CSV contract: the biases at each calibration, and the blocks of
+the plan (`_static_plan`, `_tracking_plan`).  Symbols and noise are
+drawn up to two blocks ahead, in that order, on a thread of their own,
+so the bytes do not depend on its timing.  Trials merge by summation, so
+the outcome does not depend on the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -226,19 +225,19 @@ def write_csv(records, path):
 
 
 # ---------------------------------------------------------------------------
-# Trials: shared machinery and the quasi-static engine
+# Trials: one engine walks a plan of blocks
 
 
 class _Trial:
-    """One trial's channel process, RNG streams, current channel matrix,
-    noise level and counts per record key.  Its `with` block runs on one
-    BLAS thread and a draw thread that draws the plan's blocks ahead."""
+    """One trial's channel process, RNG streams, current channel matrix
+    and SNR, arm groups, their last models and counts per record key.
+    Its `with` block runs on one BLAS thread and a draw thread that draws
+    the plan's blocks ahead."""
 
     def __init__(self, cfg: ExperimentConfig, trial: int, plan):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
-        self.cfg, self.counts = cfg, {}
+        self.cfg, self.counts, self.groups, self.models = cfg, {}, {}, {}
         self.channel = draw_process(cfg.channel, kids[0])
-        self.H = self.snr = self.sigma2 = None
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
         (self.noise, self.symbols, self.biases,
@@ -270,20 +269,15 @@ class _Trial:
                 QAM16.random_labels(self.symbols, (n, ch.n_users)),
                 noise_planes(self.noise, (n, ch.n_antennas))), n)))
 
-    def at_snr(self, snr_db: float):
+    def send(self, snr_db: float, m: int):
+        """Next block at snr_db through realize(channel, m): (labels, x, y)."""
         power = (signal_power(self.cfg.saleh)
                  if self.cfg.snr_reference == "post-pa" else 1.0)
-        self.snr = 10.0 ** (snr_db / 10.0)
-        self.sigma2 = power / self.snr
-
-    def send(self, n: int):
-        """The plan's next block of n symbol vectors: (labels, x, y)."""
-        if n != (planned := self.ahead[0][0] if self.ahead else None):
-            raise RuntimeError(f"send({n}) is off the draw plan ({planned})")
+        self.H, self.snr = realize(self.channel, m), 10.0 ** (snr_db / 10.0)
         labels, planes = self.ahead.popleft()[1].result()
         self._draw_ahead()
         return labels, QAM16.symbols(labels), transmit(
-            self.H, self.sent[labels], self.sigma2, None, noise=planes)
+            self.H, self.sent[labels], power / self.snr, None, noise=planes)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
@@ -312,45 +306,89 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def score(self, groups, models, key, n: int, chunk: int = _CHUNK):
-        """Send n payload vectors in chunks of at most chunk; each group of
-        arms reads one converter output, and each arm's counts go under
-        (name, *key) = (receiver, snr_db, frame), or (name/user<k>, *key)."""
-        per_user = self.cfg.per_user
-        for done in range(0, n, chunk):
-            labels, _, y = self.send(min(chunk, n - done))
-            for group in groups:
-                R = _front_end(group[0], y)
-                for arm in group:
-                    errs = arm.detect(models[arm.name], R) != labels
-                    for k, e in enumerate(errs.T if per_user else [errs]):
-                        ukey = (f"{arm.name}/user{k}" if per_user
-                                else arm.name, *key)
-                        sym, err = self.counts.get(ukey, (0, 0))
-                        self.counts[ukey] = (sym + e.size, err + int(e.sum()))
-                del R   # hold one converter output at a time
+    def train(self, block, arg):
+        """arg = (arms_at, names): with arms_at, first calibrate a
+        converter on the block and group the arms arms_at(cfg, adc) lists
+        by the converter output they read; then train the named arms (all
+        if None) on the block, each from its last model."""
+        (_, x, y), (arms_at, names) = block, arg
+        if arms_at is not None:
+            groups = self.groups = {}  # arms that share one converter output
+            for arm in arms_at(self.cfg, self.calibrate(y)):
+                groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
+        for group in self.groups.values():
+            arms = [arm for arm in group if names is None or arm.name in names]
+            R = _front_end(group[0], y) if arms else None
+            for arm in arms:
+                self.models[arm.name] = arm.train(
+                    self, R, x, self.models.get(arm.name))
+            del R   # hold one converter output at a time
+
+    def score(self, block, key):
+        """Score all arms on a payload block; each group of arms reads one
+        converter output, and each arm's counts go under (name, *key) =
+        (receiver, snr_db, frame), or (name/user<k>, *key)."""
+        (labels, _, y), per_user = block, self.cfg.per_user
+        for group in self.groups.values():
+            R = _front_end(group[0], y)
+            for arm in group:
+                errs = arm.detect(self.models[arm.name], R) != labels
+                for k, e in enumerate(errs.T if per_user else [errs]):
+                    ukey = (f"{arm.name}/user{k}" if per_user
+                            else arm.name, *key)
+                    sym, err = self.counts.get(ukey, (0, 0))
+                    self.counts[ukey] = (sym + e.size, err + int(e.sum()))
+            del R   # hold one converter output at a time
+
+
+def _trial(plan, cfg: ExperimentConfig, trial: int) -> dict:
+    """Walk the plan: each block (n, snr_db, m, step, arg) sends n vectors
+    at snr_db through realize(channel, m), then runs step(t, block, arg)."""
+    with _Trial(cfg, trial, [n for n, *_ in plan]) as t:
+        for _, snr_db, m, step, arg in plan:
+            # the last block is held until the next is sent: a payload chunk
+            # freed sooner gave its pages back to the OS, to fault them again
+            step(t, block := t.send(snr_db, m), arg)
+        return t.counts
 
 
 _Arm = namedtuple("_Arm", "name adc biased train detect")
 
-# receiver -> (biased, train(trial, R, X), detect(model, R)), R being the
-# biased quantized stack or the unbiased I/Q quantization.  Lambdas look
+
+def _oselm_train(t: _Trial, R, X, last):
+    """OS-ELM (state, weights): oselm_init on its first block, then updates."""
+    state = (t.solve("oselm", oselm_init, R, X, lam=t.cfg.adaptive.forgetting)
+             if last is None else oselm_update(last[0], R, X))
+    return state, t.solve("oselm", oselm_weights, state,
+                          faded=last is not None)
+
+
+# receiver -> (biased, train(trial, R, X, last), detect(model, R)), R being
+# the biased quantized stack or the unbiased I/Q quantization.  Lambdas look
 # functions up when called, so run-time replacements (tracing) apply.
 _RECEIVERS = {
-    "natural-elm": (True, lambda t, R, X: t.solve(
+    "natural-elm": (True, lambda t, R, X, _: t.solve(
         "natural-elm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
-    "trained-zf": (False, lambda t, R, X: t.solve(
+    "trained-zf": (False, lambda t, R, X, _: t.solve(
         "trained-zf", train_zf_direct, real_stack(R), X),
         lambda m, R: detect_natural_elm(m, real_stack(R))),
-    "borrowed-elm": (False, lambda t, R, X: t.solve(
+    "borrowed-elm": (False, lambda t, R, X, _: t.solve(
         "borrowed-elm", train_borrowed_elm, real_stack(R), X,
         hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
         lambda m, R: detect_borrowed_elm(m, real_stack(R))),
-    "zf": (False, lambda t, R, X: zf_weights(t.H),
+    "zf": (False, lambda t, R, X, _: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
-    "mmse": (False, lambda t, R, X: mmse_weights(t.H, t.snr),
+    "mmse": (False, lambda t, R, X, _: mmse_weights(t.H, t.snr),
              lambda m, R: detect_linear(m, R)),
+    # the adaptive variants: the natural-ELM readout under gamma.oselm
+    "oselm": (True, _oselm_train,
+              lambda m, R: detect_natural_elm(m[1], R)),
+    "retrain-benchmark": (True, lambda t, R, X, _: t.solve(
+        "oselm", train_natural_elm, R, X),
+        lambda m, R: detect_natural_elm(m, R)),
+    "frozen": (True, lambda t, R, X, _: t.models["oselm"][1],
+               lambda m, R: detect_natural_elm(m, R)),
 }
 
 
@@ -359,37 +397,18 @@ def _front_end(arm, y):
     return bias_quantize(y, arm.adc) if arm.biased else quantize_iq(y, arm.adc)
 
 
-def _quasi_static_plan(cfg: ExperimentConfig) -> list:
-    """Block sizes in draw order: per SNR point the preamble (none for an
-    ideal converter), the training block and the payload in chunks."""
+def _static_plan(arms_at, cfg: ExperimentConfig) -> list:
+    """Per SNR point, on the channel at m = 0: the preamble (0 rows for
+    an ideal converter), which calibrates the converter behind the arms
+    arms_at(cfg, adc) lists, the training block and the payload in
+    chunks."""
     n = cfg.payload_len
-    return len(cfg.snr_db_list) * (
-        [cfg.preamble_len] * (cfg.adc.bits is not None) + [cfg.training_len]
-        + [min(_CHUNK, n - done) for done in range(0, n, _CHUNK)])
-
-
-def _trial_quasi_static(arms_at, cfg: ExperimentConfig, trial: int) -> dict:
-    """One quasi-static trial; arms_at(cfg, adc) lists the arms behind
-    the converter calibrated at each SNR point."""
-    with _Trial(cfg, trial, _quasi_static_plan(cfg)) as t:
-        t.H = realize(t.channel, 0)
-        for snr_db in cfg.snr_db_list:
-            t.at_snr(snr_db)
-            preamble = (None if cfg.adc.bits is None
-                        else t.send(cfg.preamble_len)[2])
-            groups = {}  # arms that share one converter output
-            for arm in arms_at(cfg, t.calibrate(preamble)):
-                groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
-            _, x, y = t.send(cfg.training_len)
-            models = {}
-            for group in groups.values():
-                R = _front_end(group[0], y)
-                for arm in group:
-                    models[arm.name] = arm.train(t, R, x)
-                del R   # hold one converter output at a time
-            del x, y   # and no training block while scoring
-            t.score(groups.values(), models, (snr_db, -1), cfg.payload_len)
-        return t.counts
+    preamble = 0 if cfg.adc.bits is None else cfg.preamble_len
+    return [block for snr_db in cfg.snr_db_list for block in [
+        (preamble, snr_db, 0, _Trial.train, (arms_at, ())),
+        (cfg.training_len, snr_db, 0, _Trial.train, (None, None)),
+        *((min(_CHUNK, n - done), snr_db, 0, _Trial.score, (snr_db, -1))
+          for done in range(0, n, _CHUNK))]]
 
 
 def _sweep_arms(cfg: ExperimentConfig, adc: AdcConfig):
@@ -416,49 +435,29 @@ def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
 ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 
 
-def _adaptive_plan(cfg: ExperimentConfig) -> list:
-    """Block sizes in draw order: the initial block, then per frame the
-    training burst, the benchmark block and the whole payload."""
-    ad = cfg.adaptive
-    return [ad.init_len] + ad.n_frames * [
-        ad.frame_training_len, ad.benchmark_training_len, ad.frame_data_len]
+def _adaptive_arms(cfg: ExperimentConfig, adc: AdcConfig):
+    return [_Arm(name, adc, *_RECEIVERS[name]) for name in ADAPTIVE_VARIANTS]
 
 
-def _trial_adaptive(cfg: ExperimentConfig, trial: int) -> dict:
-    with _Trial(cfg, trial, _adaptive_plan(cfg)) as t:
-        ad = cfg.adaptive
-        snr_db = cfg.snr_db_list[0]
-        t.at_snr(snr_db)
-
-        # The channel evolves across frames: H is sampled at each frame's
-        # first symbol index and held for that frame (block fading), which
-        # keeps the per-frame 3000-symbol benchmark well defined.
-        t.H = realize(t.channel, 0)
-        _, x0, y0 = t.send(ad.init_len)
-        adc = t.calibrate(y0)
-        state = oselm_init(bias_quantize(y0, adc), x0, cfg.gamma_for("oselm"),
-                           ad.forgetting)
-        frozen_w = t.solve("oselm", oselm_weights, state)
-        arms = [_Arm(name, adc, *_RECEIVERS["natural-elm"])
-                for name in ADAPTIVE_VARIANTS]
-
-        frame_len = ad.frame_training_len + ad.frame_data_len
-        for f in range(ad.n_frames):
-            t.H = realize(t.channel, ad.init_len + f * frame_len)
-            # adaptive update on the frame's training burst
-            _, x_t, y_t = t.send(ad.frame_training_len)
-            state = oselm_update(state, bias_quantize(y_t, adc), x_t)
-            # benchmark: batch retrain assuming a long training block is
-            # available within the frame
-            _, x_b, y_b = t.send(ad.benchmark_training_len)
-            bench_w = t.solve("oselm", train_natural_elm,
-                              bias_quantize(y_b, adc), x_b)
-            oselm_w = t.solve("oselm", oselm_weights, state, faded=True)
-            # the payload is one block: chunks would reorder the noise draws
-            t.score([arms], dict(zip(ADAPTIVE_VARIANTS,
-                                     (oselm_w, bench_w, frozen_w))),
-                    (snr_db, f), ad.frame_data_len, chunk=ad.frame_data_len)
-        return t.counts
+def _tracking_plan(cfg: ExperimentConfig) -> list:
+    """At snr_db_list[0] only (the rest of the list is unused): the initial
+    block, which calibrates the converter and trains the oselm and frozen
+    arms, then per frame the OS-ELM update's burst, the benchmark's batch
+    retrain block (as if a long training block were available within the
+    frame) and the whole payload (chunks would reorder the noise draws).
+    H is sampled at each frame's first symbol index and held for the
+    frame (block fading), which keeps the per-frame benchmark well defined."""
+    ad, snr_db = cfg.adaptive, cfg.snr_db_list[0]
+    plan = [(ad.init_len, snr_db, 0, _Trial.train,
+             (_adaptive_arms, ("oselm", "frozen")))]
+    for f in range(ad.n_frames):
+        m = ad.init_len + f * (ad.frame_training_len + ad.frame_data_len)
+        plan += [(ad.frame_training_len, snr_db, m, _Trial.train,
+                  (None, ("oselm",))),
+                 (ad.benchmark_training_len, snr_db, m, _Trial.train,
+                  (None, ("retrain-benchmark",))),
+                 (ad.frame_data_len, snr_db, m, _Trial.score, (snr_db, f))]
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +521,8 @@ def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
 
 def run_ser_sweep(cfg: ExperimentConfig, n_jobs: int = 1):
     """Quasi-static SER-vs-SNR sweep over the configured receivers."""
-    return _run_trials("ser-sweep", partial(_trial_quasi_static, _sweep_arms),
-                       cfg, n_jobs)
+    return _run_trials("ser-sweep", partial(_trial, _static_plan(
+        _sweep_arms, cfg)), cfg, n_jobs)
 
 
 def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
@@ -532,11 +531,12 @@ def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     The ablation always quantizes: an ideal converter becomes 6 bits."""
     if cfg.adc.bits is None:
         cfg = replace(cfg, adc=replace(cfg.adc, bits=6))
-    worker = partial(_trial_quasi_static, _ablation_arms)
+    worker = partial(_trial, _static_plan(_ablation_arms, cfg))
     return _run_trials("bias-ablation", worker, cfg, n_jobs)
 
 
 def run_adaptive(cfg: ExperimentConfig, n_jobs: int = 1):
     """Per-frame SER of the OSELM tracker, a per-frame batch-retrained
     benchmark, and a frozen receiver over a time-varying channel."""
-    return _run_trials("adaptive", _trial_adaptive, cfg, n_jobs)
+    return _run_trials("adaptive", partial(_trial, _tracking_plan(cfg)),
+                       cfg, n_jobs)

@@ -1,0 +1,50 @@
+"""Closed-form reference checks: where theory gives the answer, the
+trial engine must agree with it, not only with its own earlier bytes."""
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from elm_mimo import harness
+from elm_mimo.channel import ChannelConfig, realize
+from elm_mimo.harness import ConverterConfig, desk_config, run_ser_sweep
+
+
+def _q(x: float) -> float:
+    """The Gaussian tail probability Q(x)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n_antennas, n_users", [(16, 8), (12, 10)])
+def test_zf_on_an_ideal_linear_link_matches_its_closed_form(n_antennas,
+                                                            n_users):
+    # Given H, user k's ZF noise is circular Gaussian with variance
+    # sigma2 [(H^H H)^-1]_kk.  A 16-QAM decision errs on one axis with
+    # p = 1.5 Q(d / s), d = 1/sqrt(10) being half the point spacing and
+    # s^2 half that variance, and on the symbol with q = 1 - (1 - p)^2.
+    cfg = replace(desk_config(),
+                  channel=ChannelConfig(n_antennas=n_antennas,
+                                        n_users=n_users),
+                  saleh=None, adc=ConverterConfig(bits=None),
+                  receivers=("zf",), snr_db_list=(0.0, 5.0, 10.0, 15.0),
+                  training_len=10, payload_len=5000, trials=4)
+    inverse_diagonals = [
+        np.diag(np.linalg.inv(H.conj().T @ H)).real
+        for H in (realize(harness._Trial(cfg, t, ()).channel, 0)
+                  for t in range(cfg.trials))]
+    records = run_ser_sweep(cfg)
+    assert [r.snr_db for r in records] == list(cfg.snr_db_list)
+    for rec in records:
+        sigma2 = 10.0 ** (-rec.snr_db / 10.0)   # unit constellation power
+        mean = var = 0.0
+        for diagonal in inverse_diagonals:
+            q = [1.0 - (1.0 - 1.5 * _q(math.sqrt(0.1 / (sigma2 * v / 2.0))))
+                 ** 2 for v in diagonal]
+            mean += cfg.payload_len * sum(q)
+            # ZF noise is correlated across users, so a vector's error
+            # count is bounded by the fully correlated variance
+            var += cfg.payload_len * sum(math.sqrt(x * (1.0 - x))
+                                         for x in q) ** 2
+        z = (rec.errors - mean) / math.sqrt(var)
+        assert abs(z) <= 4.0, (rec.snr_db, rec.errors, mean, z)

@@ -1,9 +1,11 @@
-"""Every name a package or test module imports is read in that module.
+"""Every name a package or test module imports is read in that module,
+and every private module-level name of the package is read somewhere in
+the package.
 
 There is no linter among the test dependencies, so this stands in for
-its unused-import rule.  Names listed in a module's ``__all__`` count as
-read: they are re-exported on purpose.  The acceptance tests are left
-out: that file is kept as written.
+its unused-import and dead-code rules.  Names listed in a module's
+``__all__`` count as read: they are re-exported on purpose.  The
+acceptance tests are left out: that file is kept as written.
 """
 import ast
 import subprocess
@@ -53,6 +55,50 @@ def test_guard_sees_an_unused_import():
            "__all__ = ['field']\n"
            "@dataclass\nclass A:\n    x: int\n")
     assert _unused_imports(src) == ["os (line 3)"]
+
+
+def _unread_private_names(sources: dict) -> list:
+    """Module-level _private functions, classes and constants of the
+    {file name: source} modules that no module reads, as a name or as an
+    attribute."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                targets = [node.target.id]
+            else:
+                continue
+            unread += [f"{name}: {target}" for target in targets
+                       if target.startswith("_")
+                       and not target.startswith("__")
+                       and target not in read]
+    return sorted(unread)
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert _unread_private_names(sources) == []
+
+
+def test_guard_sees_an_unread_private_name():
+    sources = {"a.py": ("_TABLE = {}\n_N: int = 3\n"
+                        "def _left_behind():\n    return _TABLE\n"
+                        "class _Kept:\n    pass\n"
+                        "def __getattr__(name):\n    return _N\n"),
+               "b.py": "from .a import _Kept\nx = a._Kept\n"}
+    assert _unread_private_names(sources) == ["a.py: _left_behind"]
 
 
 @pytest.mark.parametrize("module", ["scipy.special", "scipy.constants"])
