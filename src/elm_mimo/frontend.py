@@ -215,9 +215,9 @@ def quantize(c, adc: AdcConfig):
 
 def quantize_iq(y, adc: AdcConfig):
     """Quantize real and imaginary parts separately; no biasing."""
-    out = np.array(y, dtype=complex)
-    _quantize_in_place(out.real, adc)
-    _quantize_in_place(out.imag, adc)
+    out = np.array(y, dtype=complex, order="C")
+    # one pass: a flat view of the C-order copy (view(float) refuses 0-d)
+    _quantize_in_place(out.reshape(-1).view(float), adc)
     return out
 
 

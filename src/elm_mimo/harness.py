@@ -7,11 +7,11 @@ JSON document is the same tree, written by `asdict` and loaded by one
 `bounds.typed` call.
 
 One trial engine walks three plans.  A plan lists an experiment's
-blocks in draw order; the engine sends each block through the channel
-and hands it to a step that trains arms on it, first calibrating a
-converter if asked, or scores them on it.  An arm is a converter plus a
-readout (train, detect) from the `_RECEIVERS` table that reads the
-converter's biased quantized stack or its unbiased I/Q quantization.
+blocks in draw order; the engine sends each block through the channel,
+calibrates a converter on it if asked, then visits the named arms with
+it, to fit or to score them.  An arm is a converter plus a `_RECEIVERS`
+entry: the front end it reads (the converter's biased quantized stack
+or its unbiased I/Q quantization) and a readout (train, detect).
 The sweep puts the configured receivers behind one converter and the
 ablation the natural-ELM readout behind four, calibrated per SNR point;
 the adaptive experiment puts its three variants behind one.  Counts are
@@ -240,6 +240,8 @@ class _Trial:
         self.channel = draw_process(cfg.channel, kids[0])
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
+        self.power = (signal_power(cfg.saleh)
+                      if cfg.snr_reference == "post-pa" else 1.0)
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
         self.plan, self.ahead = deque(plan), deque()
@@ -271,13 +273,12 @@ class _Trial:
 
     def send(self, snr_db: float, m: int):
         """Next block at snr_db through realize(channel, m): (labels, x, y)."""
-        power = (signal_power(self.cfg.saleh)
-                 if self.cfg.snr_reference == "post-pa" else 1.0)
         self.H, self.snr = realize(self.channel, m), 10.0 ** (snr_db / 10.0)
         labels, planes = self.ahead.popleft()[1].result()
         self._draw_ahead()
         return labels, QAM16.symbols(labels), transmit(
-            self.H, self.sent[labels], power / self.snr, None, noise=planes)
+            self.H, self.sent[labels], self.power / self.snr, None,
+            noise=planes)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
@@ -306,53 +307,52 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def train(self, block, arg):
-        """arg = (arms_at, names): with arms_at, first calibrate a
-        converter on the block and group the arms arms_at(cfg, adc) lists
-        by the converter output they read; then train the named arms (all
-        if None) on the block, each from its last model."""
-        (_, x, y), (arms_at, names) = block, arg
+    def step(self, block, arms_at, names, visit):
+        """With arms_at, first calibrate a converter on the block and group
+        the arms arms_at(cfg, adc) lists by the converter output they read.
+        Then run visit(self, arm, R, block) for each named arm (all if
+        names is None), R being its group's output, computed only for a
+        group with a named arm."""
         if arms_at is not None:
             groups = self.groups = {}  # arms that share one converter output
-            for arm in arms_at(self.cfg, self.calibrate(y)):
-                groups.setdefault((id(arm.adc), arm.biased), []).append(arm)
+            for arm in arms_at(self.cfg, self.calibrate(block[2])):
+                groups.setdefault((id(arm.adc), arm.front), []).append(arm)
         for group in self.groups.values():
             arms = [arm for arm in group if names is None or arm.name in names]
-            R = _front_end(group[0], y) if arms else None
+            R = group[0].front(block[2], group[0].adc) if arms else None
             for arm in arms:
-                self.models[arm.name] = arm.train(
-                    self, R, x, self.models.get(arm.name))
+                visit(self, arm, R, block)
             del R   # hold one converter output at a time
 
-    def score(self, block, key):
-        """Score all arms on a payload block; each group of arms reads one
-        converter output, and each arm's counts go under (name, *key) =
-        (receiver, snr_db, frame), or (name/user<k>, *key)."""
-        (labels, _, y), per_user = block, self.cfg.per_user
-        for group in self.groups.values():
-            R = _front_end(group[0], y)
-            for arm in group:
-                errs = arm.detect(self.models[arm.name], R) != labels
-                for k, e in enumerate(errs.T if per_user else [errs]):
-                    ukey = (f"{arm.name}/user{k}" if per_user
-                            else arm.name, *key)
-                    sym, err = self.counts.get(ukey, (0, 0))
-                    self.counts[ukey] = (sym + e.size, err + int(e.sum()))
-            del R   # hold one converter output at a time
+
+def _fit(t: _Trial, arm, R, block):
+    """Train the arm on the block, from its last model."""
+    t.models[arm.name] = arm.train(t, R, block[1], t.models.get(arm.name))
+
+
+def _count(key, t: _Trial, arm, R, block):
+    """Score the arm on a payload block: its counts go under (name, *key) =
+    (receiver, snr_db, frame), or (name/user<k>, *key)."""
+    errs = arm.detect(t.models[arm.name], R) != block[0]
+    for k, e in enumerate(errs.T if t.cfg.per_user else [errs]):
+        ukey = (f"{arm.name}/user{k}" if t.cfg.per_user else arm.name, *key)
+        sym, err = t.counts.get(ukey, (0, 0))
+        t.counts[ukey] = (sym + e.size, err + int(e.sum()))
 
 
 def _trial(plan, cfg: ExperimentConfig, trial: int) -> dict:
-    """Walk the plan: each block (n, snr_db, m, step, arg) sends n vectors
-    at snr_db through realize(channel, m), then runs step(t, block, arg)."""
+    """Walk the plan: each block (n, snr_db, m, arms_at, names, visit)
+    sends n vectors at snr_db through realize(channel, m), then steps
+    through the arms with (arms_at, names, visit)."""
     with _Trial(cfg, trial, [n for n, *_ in plan]) as t:
-        for _, snr_db, m, step, arg in plan:
+        for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
-            step(t, block := t.send(snr_db, m), arg)
+            t.step(block := t.send(snr_db, m), *step)
         return t.counts
 
 
-_Arm = namedtuple("_Arm", "name adc biased train detect")
+_Arm = namedtuple("_Arm", "name adc front train detect")
 
 
 def _oselm_train(t: _Trial, R, X, last):
@@ -363,38 +363,36 @@ def _oselm_train(t: _Trial, R, X, last):
                           faded=last is not None)
 
 
-# receiver -> (biased, train(trial, R, X, last), detect(model, R)), R being
-# the biased quantized stack or the unbiased I/Q quantization.  Lambdas look
-# functions up when called, so run-time replacements (tracing) apply.
+# receiver -> (front(y, adc), train(trial, R, X, last), detect(model, R)),
+# R being the output of front: _STACK, the biased quantized stack, or _IQ,
+# the unbiased I/Q quantization.  Lambdas look functions up when called, so
+# run-time replacements (tracing) apply.
+_STACK = lambda y, adc: bias_quantize(y, adc)
+_IQ = lambda y, adc: quantize_iq(y, adc)
 _RECEIVERS = {
-    "natural-elm": (True, lambda t, R, X, _: t.solve(
+    "natural-elm": (_STACK, lambda t, R, X, _: t.solve(
         "natural-elm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
-    "trained-zf": (False, lambda t, R, X, _: t.solve(
+    "trained-zf": (_IQ, lambda t, R, X, _: t.solve(
         "trained-zf", train_zf_direct, real_stack(R), X),
         lambda m, R: detect_natural_elm(m, real_stack(R))),
-    "borrowed-elm": (False, lambda t, R, X, _: t.solve(
+    "borrowed-elm": (_IQ, lambda t, R, X, _: t.solve(
         "borrowed-elm", train_borrowed_elm, real_stack(R), X,
         hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
         lambda m, R: detect_borrowed_elm(m, real_stack(R))),
-    "zf": (False, lambda t, R, X, _: zf_weights(t.H),
+    "zf": (_IQ, lambda t, R, X, _: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
-    "mmse": (False, lambda t, R, X, _: mmse_weights(t.H, t.snr),
+    "mmse": (_IQ, lambda t, R, X, _: mmse_weights(t.H, t.snr),
              lambda m, R: detect_linear(m, R)),
     # the adaptive variants: the natural-ELM readout under gamma.oselm
-    "oselm": (True, _oselm_train,
+    "oselm": (_STACK, _oselm_train,
               lambda m, R: detect_natural_elm(m[1], R)),
-    "retrain-benchmark": (True, lambda t, R, X, _: t.solve(
+    "retrain-benchmark": (_STACK, lambda t, R, X, _: t.solve(
         "oselm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
-    "frozen": (True, lambda t, R, X, _: t.models["oselm"][1],
+    "frozen": (_STACK, lambda t, R, X, _: t.models["oselm"][1],
                lambda m, R: detect_natural_elm(m, R)),
 }
-
-
-def _front_end(arm, y):
-    """The converter output that the arm and the rest of its group read."""
-    return bias_quantize(y, arm.adc) if arm.biased else quantize_iq(y, arm.adc)
 
 
 def _static_plan(arms_at, cfg: ExperimentConfig) -> list:
@@ -405,10 +403,10 @@ def _static_plan(arms_at, cfg: ExperimentConfig) -> list:
     n = cfg.payload_len
     preamble = 0 if cfg.adc.bits is None else cfg.preamble_len
     return [block for snr_db in cfg.snr_db_list for block in [
-        (preamble, snr_db, 0, _Trial.train, (arms_at, ())),
-        (cfg.training_len, snr_db, 0, _Trial.train, (None, None)),
-        *((min(_CHUNK, n - done), snr_db, 0, _Trial.score, (snr_db, -1))
-          for done in range(0, n, _CHUNK))]]
+        (preamble, snr_db, 0, arms_at, (), _fit),
+        (cfg.training_len, snr_db, 0, None, None, _fit),
+        *((min(_CHUNK, n - done), snr_db, 0, None, None,
+           partial(_count, (snr_db, -1))) for done in range(0, n, _CHUNK))]]
 
 
 def _sweep_arms(cfg: ExperimentConfig, adc: AdcConfig):
@@ -448,15 +446,15 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
     H is sampled at each frame's first symbol index and held for the
     frame (block fading), which keeps the per-frame benchmark well defined."""
     ad, snr_db = cfg.adaptive, cfg.snr_db_list[0]
-    plan = [(ad.init_len, snr_db, 0, _Trial.train,
-             (_adaptive_arms, ("oselm", "frozen")))]
+    plan = [(ad.init_len, snr_db, 0, _adaptive_arms, ("oselm", "frozen"),
+             _fit)]
     for f in range(ad.n_frames):
         m = ad.init_len + f * (ad.frame_training_len + ad.frame_data_len)
-        plan += [(ad.frame_training_len, snr_db, m, _Trial.train,
-                  (None, ("oselm",))),
-                 (ad.benchmark_training_len, snr_db, m, _Trial.train,
-                  (None, ("retrain-benchmark",))),
-                 (ad.frame_data_len, snr_db, m, _Trial.score, (snr_db, f))]
+        plan += [(ad.frame_training_len, snr_db, m, None, ("oselm",), _fit),
+                 (ad.benchmark_training_len, snr_db, m, None,
+                  ("retrain-benchmark",), _fit),
+                 (ad.frame_data_len, snr_db, m, None, None,
+                  partial(_count, (snr_db, f)))]
     return plan
 
 

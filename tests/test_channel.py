@@ -1,6 +1,7 @@
 """Tests for the sum-of-rays spatially correlated time-varying channel."""
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from elm_mimo.channel import (ChannelConfig, draw_process, realize,
                               steering_vector)
@@ -118,3 +119,25 @@ def test_autocorrelation_non_increasing_at_short_lags():
             acc[i] += h0 * np.conj(realize(proc, int(tau))[0, 0])
     rho = np.abs(acc) / 1000
     assert np.all(np.diff(rho) <= 1e-3)
+
+
+def test_time_correlation_is_clarkes():
+    # per-ray Dopplers f_D cos(psi), psi uniform, and independent uniform
+    # ray phases make E[h(m) h*(0)] = J0(2 pi f_D m T) for every entry.
+    # Each process averages its N K entries; the bound is set by the
+    # spread of those averages over the processes, wide enough for the
+    # 82 correlated comparisons.
+    cfg = ChannelConfig(n_antennas=8, n_users=4, velocity_mps=KMH_100)
+    lags = np.arange(0, 5001, 125)
+    per_process = []
+    for seed in range(300):
+        proc = draw_process(cfg, seed)
+        h0 = realize(proc, 0)
+        per_process.append([np.mean(realize(proc, int(m)) * np.conj(h0))
+                            for m in lags])
+    per_process = np.array(per_process)
+    mean = per_process.mean(axis=0)
+    se = per_process.std(axis=0, ddof=1) / np.sqrt(len(per_process))
+    clarke = j0(2 * np.pi * cfg.doppler_hz * lags * cfg.symbol_duration_s)
+    assert np.all(np.abs(mean.real - clarke) <= 5 * se)
+    assert np.all(np.abs(mean.imag) <= 5 * se)

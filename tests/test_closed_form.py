@@ -8,12 +8,40 @@ import pytest
 
 from elm_mimo import harness
 from elm_mimo.channel import ChannelConfig, realize
+from elm_mimo.frontend import QAM16, SalehParams, pa_distort, signal_power
 from elm_mimo.harness import ConverterConfig, desk_config, run_ser_sweep
 
 
 def _q(x: float) -> float:
     """The Gaussian tail probability Q(x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _assert_zf_errors_match(cfg, error_probability):
+    """Run cfg's sweep of the zf receiver alone and compare each SNR
+    point's errors, summed over users and trials, with their expectation:
+    user k errs with probability error_probability(s), s^2 being its
+    per-axis noise variance sigma2 [(H^H H)^-1]_kk / 2 for the trial's H
+    and sigma2 the transmitted power over the SNR.  |z| <= 4."""
+    inverse_diagonals = [
+        np.diag(np.linalg.inv(H.conj().T @ H)).real
+        for H in (realize(harness._Trial(cfg, t, ()).channel, 0)
+                  for t in range(cfg.trials))]
+    records = run_ser_sweep(cfg)
+    assert [r.snr_db for r in records] == list(cfg.snr_db_list)
+    for rec in records:
+        sigma2 = signal_power(cfg.saleh) * 10.0 ** (-rec.snr_db / 10.0)
+        mean = var = 0.0
+        for diagonal in inverse_diagonals:
+            q = [error_probability(math.sqrt(sigma2 * v / 2.0))
+                 for v in diagonal]
+            mean += cfg.payload_len * sum(q)
+            # ZF noise is correlated across users, so a vector's error
+            # count is bounded by the fully correlated variance
+            var += cfg.payload_len * sum(math.sqrt(x * (1.0 - x))
+                                         for x in q) ** 2
+        z = (rec.errors - mean) / math.sqrt(var)
+        assert abs(z) <= 4.0, (rec.snr_db, rec.errors, mean, z)
 
 
 @pytest.mark.parametrize("n_antennas, n_users", [(16, 8), (12, 10)])
@@ -29,22 +57,31 @@ def test_zf_on_an_ideal_linear_link_matches_its_closed_form(n_antennas,
                   saleh=None, adc=ConverterConfig(bits=None),
                   receivers=("zf",), snr_db_list=(0.0, 5.0, 10.0, 15.0),
                   training_len=10, payload_len=5000, trials=4)
-    inverse_diagonals = [
-        np.diag(np.linalg.inv(H.conj().T @ H)).real
-        for H in (realize(harness._Trial(cfg, t, ()).channel, 0)
-                  for t in range(cfg.trials))]
-    records = run_ser_sweep(cfg)
-    assert [r.snr_db for r in records] == list(cfg.snr_db_list)
-    for rec in records:
-        sigma2 = 10.0 ** (-rec.snr_db / 10.0)   # unit constellation power
-        mean = var = 0.0
-        for diagonal in inverse_diagonals:
-            q = [1.0 - (1.0 - 1.5 * _q(math.sqrt(0.1 / (sigma2 * v / 2.0))))
-                 ** 2 for v in diagonal]
-            mean += cfg.payload_len * sum(q)
-            # ZF noise is correlated across users, so a vector's error
-            # count is bounded by the fully correlated variance
-            var += cfg.payload_len * sum(math.sqrt(x * (1.0 - x))
-                                         for x in q) ** 2
-        z = (rec.errors - mean) / math.sqrt(var)
-        assert abs(z) <= 4.0, (rec.snr_db, rec.errors, mean, z)
+    _assert_zf_errors_match(cfg, lambda s: 1.0 - (
+        1.0 - 1.5 * _q(math.sqrt(0.1) / s)) ** 2)
+
+
+def test_genie_zf_behind_the_saleh_pa_matches_its_closed_form():
+    # Genie ZF undoes H but not the amplifier: user k's output is f(c)
+    # plus the noise above.  The nominal grid decides each axis on the
+    # interval around c's level, so a decision is correct with the
+    # product of two normal interval probabilities around f(c), and the
+    # SER is 1 minus its mean over the 16 labels.  At the default drive
+    # f(c) lies outside c's region, so the SER is worse than guessing.
+    saleh = SalehParams()
+    cfg = replace(desk_config(), saleh=saleh, adc=ConverterConfig(bits=None),
+                  receivers=("zf",), snr_db_list=(10.0, 20.0),
+                  training_len=10, payload_len=5000, trials=4)
+    edges = np.array([-np.inf, -2.0, 0.0, 2.0, np.inf]) / math.sqrt(10.0)
+    # per label and axis, the decision interval of its level around f(c)
+    intervals = [(edges[i], edges[i + 1], mu) for c, fc in zip(
+        QAM16.points, pa_distort(QAM16.points, saleh))
+        for level, mu in ((c.real, fc.real), (c.imag, fc.imag))
+        for i in [round((level * math.sqrt(10.0) + 3.0) / 2.0)]]
+
+    def error_probability(s):
+        axes = [_q((lo - mu) / s) - _q((hi - mu) / s)
+                for lo, hi, mu in intervals]
+        return 1.0 - float(np.mean(np.multiply(axes[0::2], axes[1::2])))
+
+    _assert_zf_errors_match(cfg, error_probability)

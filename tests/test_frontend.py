@@ -315,10 +315,13 @@ def test_clip_only_mode():
 
 def test_quantize_iq_componentwise():
     adc = AdcConfig(bits=3, full_scale=1.0)
-    y = np.array([0.1 - 0.6j, -0.2 + 0.9j])
-    out = quantize_iq(y, adc)
-    assert np.array_equal(out.real, quantize(y.real, adc))
-    assert np.array_equal(out.imag, quantize(y.imag, adc))
+    y = np.array([[0.1 - 0.6j, -0.2 + 0.9j, 1.5 + 0.0j],
+                  [-0.7 + 0.3j, 0.05 - 2.0j, 0.4 + 0.4j]])
+    # C order, Fortran order and a strided view
+    for arg in (y, y.T, y[:, ::2]):
+        out = quantize_iq(arg, adc)
+        assert np.array_equal(out.real, quantize(arg.real, adc))
+        assert np.array_equal(out.imag, quantize(arg.imag, adc))
 
 
 # ---------------------------------------------------------------------------

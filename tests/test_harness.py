@@ -269,6 +269,25 @@ def test_ablation_bias_immaterial_without_pa():
     assert abs(a.ser - b.ser) <= 2 * se + 1e-9
 
 
+@pytest.mark.parametrize("bits", [6, 2])
+def test_the_front_ends_agree_behind_an_unbiased_quantizer(bits):
+    # both experiments walk the same draws into the same calibrated
+    # converter, and for a quantized one real_stack(quantize_iq(y)) equals
+    # the zero-bias bias_quantize(y).  So under the default gammas, equal
+    # for natural-elm and trained-zf, the sweep's natural-elm and trained-zf
+    # rows are the ablation's natural-elm and trained-zf-quantized rows.
+    # An ideal converter is left out: the ablation makes it 6 bits.
+    cfg = _small_config(adc=ConverterConfig(bits=bits))
+    assert cfg.gamma_for("natural-elm") == cfg.gamma_for("trained-zf")
+    sweep, ablation = ({(r.receiver, r.snr_db): (r.symbols, r.errors)
+                        for r in run(cfg)}
+                       for run in (run_ser_sweep, run_bias_ablation))
+    for snr_db in cfg.snr_db_list:
+        assert sweep["natural-elm", snr_db] == ablation["natural-elm", snr_db]
+        assert (sweep["trained-zf", snr_db]
+                == ablation["trained-zf-quantized", snr_db])
+
+
 # ---------------------------------------------------------------------------
 # adaptive experiment
 
