@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import harness
 
@@ -60,9 +61,17 @@ def _load(args) -> harness.ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError("--out must name a file in an existing "
+                             f"directory, got {args.out!r}")
         cfg = _load(args)
         if args.parallel < 1:
             raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+        if args.command == "adaptive" and len(cfg.snr_db_list) > 1:
+            print(f"note: adaptive runs at snr_db_list[0] = "
+                  f"{cfg.snr_db_list[0]:g} dB only; the rest of "
+                  "snr_db_list is unused", file=sys.stderr)
         run = _EXPERIMENTS[args.command][0]
         harness.write_csv(run(cfg, n_jobs=args.parallel), args.out)
     except (ValueError, OSError) as exc:

@@ -9,13 +9,16 @@ JSON document is the same tree, written by `asdict` and loaded by one
 One trial engine walks three plans.  A plan lists an experiment's
 blocks in draw order; the engine sends each block through the channel,
 calibrates a converter on it if asked, then visits the named arms with
-it, to fit or to score them.  An arm is a converter plus a `_RECEIVERS`
-entry: the front end it reads (the converter's biased quantized stack
-or its unbiased I/Q quantization) and a readout (train, detect).
-The sweep puts the configured receivers behind one converter and the
-ablation the natural-ELM readout behind four, calibrated per SNR point;
-the adaptive experiment puts its three variants behind one.  Counts are
-keyed (receiver, snr_db, frame), frame -1 if unframed.
+it, to fit or to score them.  A fit sees its whole block; a score, a
+sum over rows, sees it in tiles of `_TILE` rows, each with its own
+converter outputs, so its working set does not grow with the block.
+An arm is a converter plus a `_RECEIVERS` entry: the front end it reads
+(the converter's biased quantized stack or its unbiased I/Q
+quantization) and a readout (train, detect).  The sweep puts the
+configured receivers behind one converter and the ablation the
+natural-ELM readout behind four, calibrated per SNR point; the adaptive
+experiment puts its three variants behind one.  Counts are keyed
+(receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -47,7 +50,7 @@ from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
                        calibrate_adc, ideal_adc, noise_planes, pa_distort,
-                       quantize_iq, signal_power, transmit)
+                       quantize_iq, transmit)
 from .receivers import (detect_linear, detect_natural_elm,
                         detect_borrowed_elm, mmse_weights, oselm_init,
                         oselm_update, oselm_weights, train_borrowed_elm,
@@ -76,6 +79,7 @@ TRAINED = ("natural-elm", "borrowed-elm", "trained-zf", "oselm")
 
 CSV_HEADER = "experiment,receiver,snr_db,frame,symbols,errors,ser,seed"
 _CHUNK = 4096   # vectors per block of the quasi-static payload
+_TILE = 512     # rows per scoring tile: 2 MB of a 512-node hidden layer
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ class _Trial:
         self.channel = draw_process(cfg.channel, kids[0])
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
-        self.power = (signal_power(cfg.saleh)
+        self.power = (float(np.mean(np.abs(self.sent) ** 2))
                       if cfg.snr_reference == "post-pa" else 1.0)
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
@@ -343,12 +347,17 @@ def _count(key, t: _Trial, arm, R, block):
 def _trial(plan, cfg: ExperimentConfig, trial: int) -> dict:
     """Walk the plan: each block (n, snr_db, m, arms_at, names, visit)
     sends n vectors at snr_db through realize(channel, m), then steps
-    through the arms with (arms_at, names, visit)."""
+    through the arms with (arms_at, names, visit): a fit once, a count
+    once per tile of _TILE rows."""
     with _Trial(cfg, trial, [n for n, *_ in plan]) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
-            t.step(block := t.send(snr_db, m), *step)
+            block = t.send(snr_db, m)
+            for tile in ([block] if step[-1] is _fit else
+                         (tuple(a[s:s + _TILE] for a in block)
+                          for s in range(0, len(block[0]), _TILE))):
+                t.step(tile, *step)
         return t.counts
 
 

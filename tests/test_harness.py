@@ -623,6 +623,40 @@ def test_cli_rejects_repeated_receiver(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/o.csv", "."])
+def test_cli_rejects_an_unwritable_out_before_running(tmp_path, capsys,
+                                                       monkeypatch, out):
+    # a missing directory or a directory in place of the file fails at
+    # once, not after the whole experiment
+    runs = []
+    monkeypatch.setitem(cli._EXPERIMENTS, "ser-sweep",
+                        (lambda *a, **k: runs.append(a), "sweep"))
+    out = tmp_path / out
+    assert cli.main(["ser-sweep", "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "missing").exists()
+
+
+def test_cli_adaptive_notes_the_snr_points_it_drops(tmp_path, capsys):
+    # the adaptive experiment runs at snr_db_list[0] alone: a longer list
+    # earns one note on stderr and leaves the exit code and the CSV as
+    # they are
+    outputs = []
+    for snr_db_list in [(5.0, 15.0), (5.0,)]:
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        save_config(_small_config(
+            trials=1, snr_db_list=snr_db_list, adaptive=AdaptiveConfig(
+                init_len=300, frame_training_len=20, frame_data_len=50,
+                benchmark_training_len=300, n_frames=1)), cfg_path)
+        assert cli.main(["adaptive", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().err, out.read_bytes()))
+    (noted, two), (silent, one) = outputs
+    assert len(noted.splitlines()) == 1
+    assert "snr_db_list[0] = 5 dB" in noted and silent == ""
+    assert two == one
+
+
 # ---------------------------------------------------------------------------
 # config schema and types
 
@@ -1059,6 +1093,69 @@ def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
         init_len=300, frame_training_len=20, frame_data_len=50,
         benchmark_training_len=300, n_frames=1)))
     assert calls == expected
+
+
+# ---------------------------------------------------------------------------
+# scoring tiles
+
+
+def _tiled_runs():
+    """A sweep and an ablation per user, whose 5000-row payload is a chunk
+    and a remainder, and an adaptive run of two 1100-row frames; every fit
+    block is longer than a tile."""
+    cfg = _small_config(trials=1, training_len=1000, payload_len=5000,
+                        snr_db_list=(10.0,), per_user=True)
+    adaptive = replace(cfg, adaptive=AdaptiveConfig(
+        init_len=1000, frame_training_len=600, frame_data_len=1100,
+        benchmark_training_len=700, n_frames=2))
+    return [(run_ser_sweep, cfg), (run_bias_ablation, cfg),
+            (run_adaptive, adaptive)]
+
+
+def test_payloads_are_scored_in_tiles_and_fits_see_whole_blocks(
+        monkeypatch):
+    # a count sums over rows, so no quantizer or detector call made while
+    # scoring sees more than a tile; every fit still sees its whole block
+    rows_arg = {  # the position of each call's row-indexed argument
+        "bias_quantize": 0, "quantize_iq": 0, "detect_linear": 1,
+        "detect_natural_elm": 1, "detect_borrowed_elm": 1,
+        "train_natural_elm": 1, "train_zf_direct": 1,
+        "train_borrowed_elm": 1, "oselm_init": 1, "oselm_update": 2}
+    calls, visit, step = [], [None], harness._Trial.step
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((visit[0] is harness._fit, name,
+                          len(args[rows_arg[name]])))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def tagged_step(t, block, arms_at, names, visit_):
+        visit[0] = visit_
+        return step(t, block, arms_at, names, visit_)
+
+    for name in rows_arg:
+        monkeypatch.setattr(harness, name,
+                            recording(name, getattr(harness, name)))
+    monkeypatch.setattr(harness._Trial, "step", tagged_step)
+    for run, cfg in _tiled_runs():
+        run(cfg)
+    assert max(n for fit, _, n in calls if not fit) == harness._TILE
+    # sweep: 5 receivers, ablation: 4 systems, adaptive: 3 variants x 2
+    assert sum(n for fit, name, n in calls if not fit and name.startswith(
+        "detect_")) == 5 * 5000 + 4 * 5000 + 3 * 2 * 1100
+    assert sorted((fit, n) for fit, name, n in calls
+                  if name.startswith(("train_", "oselm_"))) == (
+        [(True, 600)] * 2 + [(True, 700)] * 2 + [(True, 1000)] * 8)
+
+
+@pytest.mark.parametrize("tile", [7, harness._CHUNK])
+def test_counts_do_not_depend_on_the_tile(monkeypatch, tile):
+    # scoring is row-separable, ragged last tiles included
+    runs = _tiled_runs()
+    records = [run(cfg) for run, cfg in runs]
+    monkeypatch.setattr(harness, "_TILE", tile)
+    assert [run(cfg) for run, cfg in runs] == records
 
 
 # ---------------------------------------------------------------------------
