@@ -31,10 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, doc) in _EXPERIMENTS.items():
         sp = sub.add_parser(name, help=doc)
-        sp.add_argument("--config", help="JSON experiment config")
-        sp.add_argument("--preset", choices=("desk", "paper"),
-                        default="desk",
-                        help="built-in config used when --config is absent")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON experiment config")
+        source.add_argument("--preset", choices=("desk", "paper"),
+                            help="built-in config (default: desk)")
         sp.add_argument("--seed", type=int, help="override master_seed")
         sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument("--receivers",

@@ -12,13 +12,13 @@ calibrates a converter on it if asked, then visits the named arms with
 it, to fit or to score them.  A fit sees its whole block; a score, a
 sum over rows, sees it in tiles of `_TILE` rows, each with its own
 converter outputs, so its working set does not grow with the block.
-An arm is a converter plus a `_RECEIVERS` entry: the front end it reads
-(the converter's biased quantized stack or its unbiased I/Q
-quantization) and a readout (train, detect).  The sweep puts the
-configured receivers behind one converter and the ablation the
-natural-ELM readout behind four, calibrated per SNR point; the adaptive
-experiment puts its three variants behind one.  Counts are keyed
-(receiver, snr_db, frame), frame -1 if unframed.
+An arm is a converter, which holds the biases, plus a `_RECEIVERS`
+entry: the front end it reads, which decides whether they apply, and a
+readout (train, detect).  The sweep puts the configured receivers
+behind one converter and the ablation the natural-ELM readout behind
+two, each read without and with its biases, calibrated per SNR point;
+the adaptive experiment puts its three variants behind one.  Counts are
+keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -373,22 +373,23 @@ def _oselm_train(t: _Trial, R, X, last):
 
 
 # receiver -> (front(y, adc), train(trial, R, X, last), detect(model, R)),
-# R being the output of front: _STACK, the biased quantized stack, or _IQ,
-# the unbiased I/Q quantization.  Lambdas look functions up when called, so
+# R being the output of front.  Lambdas look functions up when called, so
 # run-time replacements (tracing) apply.
-_STACK = lambda y, adc: bias_quantize(y, adc)
-_IQ = lambda y, adc: quantize_iq(y, adc)
+_STACK = lambda y, adc: bias_quantize(y, adc)   # the biased quantized stack
+_UNBIASED = lambda y, adc: bias_quantize(   # the same stack, biases left off
+    y, replace(adc, bias_re=0.0, bias_im=0.0))
+_IQ = lambda y, adc: quantize_iq(y, adc)   # the I/Q quantization, unbiased
 _RECEIVERS = {
     "natural-elm": (_STACK, lambda t, R, X, _: t.solve(
         "natural-elm", train_natural_elm, R, X),
         lambda m, R: detect_natural_elm(m, R)),
-    "trained-zf": (_IQ, lambda t, R, X, _: t.solve(
-        "trained-zf", train_zf_direct, real_stack(R), X),
-        lambda m, R: detect_natural_elm(m, real_stack(R))),
-    "borrowed-elm": (_IQ, lambda t, R, X, _: t.solve(
-        "borrowed-elm", train_borrowed_elm, real_stack(R), X,
+    "trained-zf": (_UNBIASED, lambda t, R, X, _: t.solve(
+        "trained-zf", train_zf_direct, R, X),
+        lambda m, R: detect_natural_elm(m, R)),
+    "borrowed-elm": (_UNBIASED, lambda t, R, X, _: t.solve(
+        "borrowed-elm", train_borrowed_elm, R, X,
         hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
-        lambda m, R: detect_borrowed_elm(m, real_stack(R))),
+        lambda m, R: detect_borrowed_elm(m, R)),
     "zf": (_IQ, lambda t, R, X, _: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
     "mmse": (_IQ, lambda t, R, X, _: mmse_weights(t.H, t.snr),
@@ -427,13 +428,12 @@ ABLATION_SYSTEMS = ("trained-zf-unquantized", "trained-zf-unquantized-biased",
 
 
 def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
-    """The natural-ELM readout behind four converters.  "unquantized" keeps
-    the converter's analog clipping range with infinite resolution."""
-    unbiased = replace(quant, bias_re=0.0, bias_im=0.0)
-    converters = (replace(unbiased, bits=None), replace(quant, bits=None),
-                  unbiased, quant)
-    return [_Arm(name, adc, *_RECEIVERS["natural-elm"])
-            for name, adc in zip(ABLATION_SYSTEMS, converters)]
+    """The natural-ELM readout without and with the biases of the converter
+    and of its "unquantized" copy: the same clipping range, no quantizer."""
+    clip = replace(quant, bits=None)
+    reads = zip((clip, clip, quant, quant), (_UNBIASED, _STACK) * 2)
+    return [_Arm(name, adc, front, *_RECEIVERS["natural-elm"][1:])
+            for name, (adc, front) in zip(ABLATION_SYSTEMS, reads)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 from elm_mimo import cli, harness
 from elm_mimo.bounds import BOUNDS
 from elm_mimo.channel import ChannelConfig
-from elm_mimo.frontend import QAM16, SalehParams, noise_planes
+from elm_mimo.core import real_stack
+from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, noise_planes,
+                               quantize_iq)
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
                               AdaptiveConfig, ConverterConfig,
                               ExperimentConfig, config_from_dict,
@@ -272,11 +274,11 @@ def test_ablation_bias_immaterial_without_pa():
 @pytest.mark.parametrize("bits", [6, 2])
 def test_the_front_ends_agree_behind_an_unbiased_quantizer(bits):
     # both experiments walk the same draws into the same calibrated
-    # converter, and for a quantized one real_stack(quantize_iq(y)) equals
-    # the zero-bias bias_quantize(y).  So under the default gammas, equal
-    # for natural-elm and trained-zf, the sweep's natural-elm and trained-zf
-    # rows are the ablation's natural-elm and trained-zf-quantized rows.
-    # An ideal converter is left out: the ablation makes it 6 bits.
+    # converter, and both read its zero-bias bias_quantize(y) through
+    # _UNBIASED.  So under the default gammas, equal for natural-elm and
+    # trained-zf, the sweep's natural-elm and trained-zf rows are the
+    # ablation's natural-elm and trained-zf-quantized rows.  An ideal
+    # converter is left out: the ablation makes it 6 bits.
     cfg = _small_config(adc=ConverterConfig(bits=bits))
     assert cfg.gamma_for("natural-elm") == cfg.gamma_for("trained-zf")
     sweep, ablation = ({(r.receiver, r.snr_db): (r.symbols, r.errors)
@@ -286,6 +288,23 @@ def test_the_front_ends_agree_behind_an_unbiased_quantizer(bits):
         assert sweep["natural-elm", snr_db] == ablation["natural-elm", snr_db]
         assert (sweep["trained-zf", snr_db]
                 == ablation["trained-zf-quantized", snr_db])
+
+
+@pytest.mark.parametrize("bits, full_scale", [
+    (1, 3.0), (2, 3.0), (6, 3.0), (12, 3.0), (None, 2.0), (None, math.inf)])
+def test_the_unbiased_front_end_leaves_the_biases_off(bits, full_scale):
+    # the converter holds nonzero biases; _UNBIASED reads it as the
+    # unbiased I/Q quantization, stacked, and so differs from _STACK.
+    # Quantized, the zero-bias sum is bitwise the same; unquantized, only
+    # an exact zero could change sign, and y holds none
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((500, 8)) + 1j * rng.standard_normal((500, 8))
+    adc = AdcConfig(bits, full_scale, *rng.uniform(-0.5, 0.5, (2, 8)))
+    unbiased, old = harness._UNBIASED(y, adc), real_stack(quantize_iq(y, adc))
+    assert np.array_equal(unbiased, old)
+    if bits is not None:
+        assert unbiased.tobytes() == old.tobytes()
+    assert not np.array_equal(unbiased, harness._STACK(y, adc))
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +654,26 @@ def test_cli_rejects_an_unwritable_out_before_running(tmp_path, capsys,
     assert cli.main(["ser-sweep", "--out", str(out)]) == 2
     assert "--out" in capsys.readouterr().err
     assert runs == [] and not (tmp_path / "missing").exists()
+
+
+def test_cli_config_and_preset_exclude_each_other(tmp_path, capsys,
+                                                 monkeypatch):
+    # naming both is refused before anything runs; naming neither runs
+    # the desk preset
+    runs = []
+    monkeypatch.setitem(cli._EXPERIMENTS, "ser-sweep",
+                        (lambda cfg, **k: runs.append(cfg) or [], "sweep"))
+    cfg_path, out = tmp_path / "cfg.json", str(tmp_path / "o.csv")
+    save_config(_small_config(), cfg_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ser-sweep", "--config", str(cfg_path), "--preset",
+                  "paper", "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "--preset" in err
+    assert runs == []
+    assert cli.main(["ser-sweep", "--out", out]) == 0
+    assert runs == [desk_config()]
 
 
 def test_cli_adaptive_notes_the_snr_points_it_drops(tmp_path, capsys):
@@ -1069,7 +1108,7 @@ def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
     # converter serves all receivers that read it, and the frozen arm
     # reuses the OS-ELM's initial model (a refit would cost a second Gram)
     expected = {  # sweep + ablation + adaptive, one block each
-        "transmit": 3 + 3 + 4, "bias_quantize": 2 + 8 + 4,
+        "transmit": 3 + 3 + 4, "bias_quantize": 4 + 8 + 4,
         "quantize_iq": 2, "calibrate_adc": 1 + 1 + 1,
         "train_natural_elm": 1 + 4 + 1, "train_zf_direct": 1,
         "train_borrowed_elm": 1, "detect_natural_elm": 2 + 4 + 3,
