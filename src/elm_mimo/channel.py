@@ -40,9 +40,10 @@ class ChannelConfig:
         check(self, "channel.")
         if self.n_antennas < self.n_users:
             raise ValueError("need channel.n_antennas >= channel.n_users")
-        if len(self.mean_aoa_range_rad) != 2:
+        aoa = list(self.mean_aoa_range_rad)   # uniform draws need low <= high
+        if len(aoa) != 2 or aoa[0] > aoa[1]:
             raise ValueError("channel.mean_aoa_range_rad must hold two "
-                             f"values, got {list(self.mean_aoa_range_rad)}")
+                             f"values, low <= high, got {aoa}")
 
     @property
     def doppler_hz(self) -> float:

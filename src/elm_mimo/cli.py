@@ -37,10 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="built-in config (default: desk)")
         sp.add_argument("--seed", type=int, help="override master_seed")
         sp.add_argument("--out", required=True, help="output CSV path")
-        sp.add_argument("--receivers",
-                        help="comma-separated receiver subset")
         sp.add_argument("--parallel", type=int, default=1,
                         help="number of worker processes for trials")
+        if name == "ser-sweep":   # the other experiments run fixed arms
+            sp.add_argument("--receivers",
+                            help="comma-separated receiver subset")
     return p
 
 
@@ -53,7 +54,7 @@ def _load(args) -> harness.ExperimentConfig:
         cfg = harness.desk_config()
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if args.receivers:
+    if getattr(args, "receivers", None):
         cfg = replace(cfg, receivers=tuple(args.receivers.split(",")))
     return cfg
 

@@ -8,17 +8,18 @@ JSON document is the same tree, written by `asdict` and loaded by one
 
 One trial engine walks three plans.  A plan lists an experiment's
 blocks in draw order; the engine sends each block through the channel,
-calibrates a converter on it if asked, then visits the named arms with
-it, to fit or to score them.  A fit sees its whole block; a score, a
-sum over rows, sees it in tiles of `_TILE` rows, each with its own
-converter outputs, so its working set does not grow with the block.
-An arm is a converter, which holds the biases, plus a `_RECEIVERS`
-entry: the front end it reads, which decides whether they apply, and a
-readout (train, detect).  The sweep puts the configured receivers
-behind one converter and the ablation the natural-ELM readout behind
-two, each read without and with its biases, calibrated per SNR point;
-the adaptive experiment puts its three variants behind one.  Counts are
-keyed (receiver, snr_db, frame), frame -1 if unframed.
+calibrates the trial's converter on it if asked, then visits the named
+arms with it, to fit or to score them.  A fit sees its whole block; a
+score, a sum over rows, sees it in tiles of `_TILE` rows, each with its
+own converter outputs, so its working set does not grow with the block.
+Every arm is a `_RECEIVERS` row: the front end it reads, which decides
+whether the converter's biases and quantizer apply, and a readout
+(train, detect).  A trial groups its arms by front end once, and each
+group shares one front-end call per block.  The sweep runs the
+configured receivers; the ablation reads the natural-ELM readout
+through four front ends, with and without the biases and the quantizer;
+the adaptive experiment runs its three variants through one.  Counts
+are keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -73,7 +74,12 @@ __all__ = [
     "CSV_HEADER",
 ]
 
+# the arms of each experiment, all rows of _RECEIVERS: the sweep's (a config
+# runs some of them), the ablation's and the adaptive experiment's
 ALL_RECEIVERS = ("natural-elm", "borrowed-elm", "trained-zf", "zf", "mmse")
+ABLATION_SYSTEMS = ("trained-zf-unquantized", "trained-zf-unquantized-biased",
+                    "trained-zf-quantized", "natural-elm")
+ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
 # the receivers with a ridge regularization gamma
 TRAINED = ("natural-elm", "borrowed-elm", "trained-zf", "oselm")
 
@@ -233,14 +239,18 @@ def write_csv(records, path):
 
 
 class _Trial:
-    """One trial's channel process, RNG streams, current channel matrix
-    and SNR, arm groups, their last models and counts per record key.
-    Its `with` block runs on one BLAS thread and a draw thread that draws
-    the plan's blocks ahead."""
+    """One trial's channel process, RNG streams, current channel matrix,
+    SNR and converter, the named arms grouped by the front end they read
+    (in name order), their last models and counts per record key.  Its
+    `with` block runs on one BLAS thread and a draw thread that draws the
+    plan's blocks ahead."""
 
-    def __init__(self, cfg: ExperimentConfig, trial: int, plan):
+    def __init__(self, cfg: ExperimentConfig, trial: int, plan, names=()):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.counts, self.groups, self.models = cfg, {}, {}, {}
+        for name in names:
+            front, train, detect = _RECEIVERS[name]
+            self.groups.setdefault(front, []).append(_Arm(name, train, detect))
         self.channel = draw_process(cfg.channel, kids[0])
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
@@ -311,19 +321,16 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def step(self, block, arms_at, names, visit):
-        """With arms_at, first calibrate a converter on the block and group
-        the arms arms_at(cfg, adc) lists by the converter output they read.
-        Then run visit(self, arm, R, block) for each named arm (all if
-        names is None), R being its group's output, computed only for a
-        group with a named arm."""
-        if arms_at is not None:
-            groups = self.groups = {}  # arms that share one converter output
-            for arm in arms_at(self.cfg, self.calibrate(block[2])):
-                groups.setdefault((id(arm.adc), arm.front), []).append(arm)
-        for group in self.groups.values():
+    def step(self, block, calibrate, names, visit):
+        """With calibrate, first calibrate the converter on the block.  Then
+        run visit(self, arm, R, block) for each named arm (all if names is
+        None), R being its front end's output, computed only for a front
+        end with a named arm."""
+        if calibrate:
+            self.adc = self.calibrate(block[2])
+        for front, group in self.groups.items():
             arms = [arm for arm in group if names is None or arm.name in names]
-            R = group[0].front(block[2], group[0].adc) if arms else None
+            R = front(block[2], self.adc) if arms else None
             for arm in arms:
                 visit(self, arm, R, block)
             del R   # hold one converter output at a time
@@ -344,12 +351,12 @@ def _count(key, t: _Trial, arm, R, block):
         t.counts[ukey] = (sym + e.size, err + int(e.sum()))
 
 
-def _trial(plan, cfg: ExperimentConfig, trial: int) -> dict:
-    """Walk the plan: each block (n, snr_db, m, arms_at, names, visit)
-    sends n vectors at snr_db through realize(channel, m), then steps
-    through the arms with (arms_at, names, visit): a fit once, a count
-    once per tile of _TILE rows."""
-    with _Trial(cfg, trial, [n for n, *_ in plan]) as t:
+def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
+    """Walk the plan with the arms named in arms: each block (n, snr_db,
+    m, calibrate, names, visit) sends n vectors at snr_db through
+    realize(channel, m), then steps through the arms with (calibrate,
+    names, visit): a fit once, a count once per tile of _TILE rows."""
+    with _Trial(cfg, trial, [n for n, *_ in plan], arms) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
@@ -361,7 +368,7 @@ def _trial(plan, cfg: ExperimentConfig, trial: int) -> dict:
         return t.counts
 
 
-_Arm = namedtuple("_Arm", "name adc front train detect")
+_Arm = namedtuple("_Arm", "name train detect")
 
 
 def _oselm_train(t: _Trial, R, X, last):
@@ -373,16 +380,21 @@ def _oselm_train(t: _Trial, R, X, last):
 
 
 # receiver -> (front(y, adc), train(trial, R, X, last), detect(model, R)),
-# R being the output of front.  Lambdas look functions up when called, so
-# run-time replacements (tracing) apply.
+# R being the output of front.  Every front end reads the trial's one
+# calibrated converter and decides whether its biases and its quantizer
+# apply.  Lambdas look functions up when called, so run-time replacements
+# (tracing) apply.
 _STACK = lambda y, adc: bias_quantize(y, adc)   # the biased quantized stack
 _UNBIASED = lambda y, adc: bias_quantize(   # the same stack, biases left off
     y, replace(adc, bias_re=0.0, bias_im=0.0))
 _IQ = lambda y, adc: quantize_iq(y, adc)   # the I/Q quantization, unbiased
+# the stacks without the quantizer: clipped to the same full scale
+_CLIP = lambda y, adc: _UNBIASED(y, replace(adc, bits=None))
+_CLIP_BIASED = lambda y, adc: _STACK(y, replace(adc, bits=None))
+_NATURAL = (lambda t, R, X, _: t.solve("natural-elm", train_natural_elm, R, X),
+            lambda m, R: detect_natural_elm(m, R))
 _RECEIVERS = {
-    "natural-elm": (_STACK, lambda t, R, X, _: t.solve(
-        "natural-elm", train_natural_elm, R, X),
-        lambda m, R: detect_natural_elm(m, R)),
+    "natural-elm": (_STACK, *_NATURAL),
     "trained-zf": (_UNBIASED, lambda t, R, X, _: t.solve(
         "trained-zf", train_zf_direct, R, X),
         lambda m, R: detect_natural_elm(m, R)),
@@ -394,6 +406,11 @@ _RECEIVERS = {
            lambda m, R: detect_linear(m, R)),
     "mmse": (_IQ, lambda t, R, X, _: mmse_weights(t.H, t.snr),
              lambda m, R: detect_linear(m, R)),
+    # the ablation's other systems: the natural-ELM readout, under
+    # gamma.natural-elm, without the quantizer or the biases or both
+    "trained-zf-unquantized": (_CLIP, *_NATURAL),
+    "trained-zf-unquantized-biased": (_CLIP_BIASED, *_NATURAL),
+    "trained-zf-quantized": (_UNBIASED, *_NATURAL),
     # the adaptive variants: the natural-ELM readout under gamma.oselm
     "oselm": (_STACK, _oselm_train,
               lambda m, R: detect_natural_elm(m[1], R)),
@@ -405,45 +422,21 @@ _RECEIVERS = {
 }
 
 
-def _static_plan(arms_at, cfg: ExperimentConfig) -> list:
+def _static_plan(cfg: ExperimentConfig) -> list:
     """Per SNR point, on the channel at m = 0: the preamble (0 rows for
-    an ideal converter), which calibrates the converter behind the arms
-    arms_at(cfg, adc) lists, the training block and the payload in
-    chunks."""
+    an ideal converter), which calibrates the converter, the training
+    block and the payload in chunks."""
     n = cfg.payload_len
     preamble = 0 if cfg.adc.bits is None else cfg.preamble_len
     return [block for snr_db in cfg.snr_db_list for block in [
-        (preamble, snr_db, 0, arms_at, (), _fit),
-        (cfg.training_len, snr_db, 0, None, None, _fit),
-        *((min(_CHUNK, n - done), snr_db, 0, None, None,
+        (preamble, snr_db, 0, True, (), _fit),
+        (cfg.training_len, snr_db, 0, False, None, _fit),
+        *((min(_CHUNK, n - done), snr_db, 0, False, None,
            partial(_count, (snr_db, -1))) for done in range(0, n, _CHUNK))]]
-
-
-def _sweep_arms(cfg: ExperimentConfig, adc: AdcConfig):
-    return [_Arm(name, adc, *_RECEIVERS[name]) for name in cfg.receivers]
-
-
-ABLATION_SYSTEMS = ("trained-zf-unquantized", "trained-zf-unquantized-biased",
-                    "trained-zf-quantized", "natural-elm")
-
-
-def _ablation_arms(cfg: ExperimentConfig, quant: AdcConfig):
-    """The natural-ELM readout without and with the biases of the converter
-    and of its "unquantized" copy: the same clipping range, no quantizer."""
-    clip = replace(quant, bits=None)
-    reads = zip((clip, clip, quant, quant), (_UNBIASED, _STACK) * 2)
-    return [_Arm(name, adc, front, *_RECEIVERS["natural-elm"][1:])
-            for name, (adc, front) in zip(ABLATION_SYSTEMS, reads)]
 
 
 # ---------------------------------------------------------------------------
 # Adaptive receiver over a time-varying channel
-
-ADAPTIVE_VARIANTS = ("oselm", "retrain-benchmark", "frozen")
-
-
-def _adaptive_arms(cfg: ExperimentConfig, adc: AdcConfig):
-    return [_Arm(name, adc, *_RECEIVERS[name]) for name in ADAPTIVE_VARIANTS]
 
 
 def _tracking_plan(cfg: ExperimentConfig) -> list:
@@ -455,14 +448,13 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
     H is sampled at each frame's first symbol index and held for the
     frame (block fading), which keeps the per-frame benchmark well defined."""
     ad, snr_db = cfg.adaptive, cfg.snr_db_list[0]
-    plan = [(ad.init_len, snr_db, 0, _adaptive_arms, ("oselm", "frozen"),
-             _fit)]
+    plan = [(ad.init_len, snr_db, 0, True, ("oselm", "frozen"), _fit)]
     for f in range(ad.n_frames):
         m = ad.init_len + f * (ad.frame_training_len + ad.frame_data_len)
-        plan += [(ad.frame_training_len, snr_db, m, None, ("oselm",), _fit),
-                 (ad.benchmark_training_len, snr_db, m, None,
+        plan += [(ad.frame_training_len, snr_db, m, False, ("oselm",), _fit),
+                 (ad.benchmark_training_len, snr_db, m, False,
                   ("retrain-benchmark",), _fit),
-                 (ad.frame_data_len, snr_db, m, None, None,
+                 (ad.frame_data_len, snr_db, m, False, None,
                   partial(_count, (snr_db, f)))]
     return plan
 
@@ -528,8 +520,8 @@ def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
 
 def run_ser_sweep(cfg: ExperimentConfig, n_jobs: int = 1):
     """Quasi-static SER-vs-SNR sweep over the configured receivers."""
-    return _run_trials("ser-sweep", partial(_trial, _static_plan(
-        _sweep_arms, cfg)), cfg, n_jobs)
+    return _run_trials("ser-sweep", partial(
+        _trial, cfg.receivers, _static_plan(cfg)), cfg, n_jobs)
 
 
 def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
@@ -538,12 +530,12 @@ def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     The ablation always quantizes: an ideal converter becomes 6 bits."""
     if cfg.adc.bits is None:
         cfg = replace(cfg, adc=replace(cfg.adc, bits=6))
-    worker = partial(_trial, _static_plan(_ablation_arms, cfg))
+    worker = partial(_trial, ABLATION_SYSTEMS, _static_plan(cfg))
     return _run_trials("bias-ablation", worker, cfg, n_jobs)
 
 
 def run_adaptive(cfg: ExperimentConfig, n_jobs: int = 1):
     """Per-frame SER of the OSELM tracker, a per-frame batch-retrained
     benchmark, and a frozen receiver over a time-varying channel."""
-    return _run_trials("adaptive", partial(_trial, _tracking_plan(cfg)),
-                       cfg, n_jobs)
+    return _run_trials("adaptive", partial(
+        _trial, ADAPTIVE_VARIANTS, _tracking_plan(cfg)), cfg, n_jobs)

@@ -305,6 +305,14 @@ def test_the_unbiased_front_end_leaves_the_biases_off(bits, full_scale):
     if bits is not None:
         assert unbiased.tobytes() == old.tobytes()
     assert not np.array_equal(unbiased, harness._STACK(y, adc))
+    # _CLIP and _CLIP_BIASED leave the quantizer off at any bit width: the
+    # full scale clips the stack (y reaches past 3), without and with the
+    # biases
+    F, stack = adc.full_scale, real_stack(y)
+    assert (harness._CLIP(y, adc).tobytes()
+            == np.clip(stack, -F, F).tobytes())
+    assert (harness._CLIP_BIASED(y, adc).tobytes() == np.clip(
+        stack + np.concatenate([adc.bias_re, adc.bias_im]), -F, F).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +642,22 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bias-ablation", "adaptive"])
+def test_cli_offers_receivers_to_the_sweep_alone(tmp_path, capsys,
+                                                 monkeypatch, command):
+    # the other experiments run fixed arms: the flag is refused, not
+    # silently dropped, before anything runs
+    runs = []
+    monkeypatch.setitem(cli._EXPERIMENTS, command,
+                        (lambda *a, **k: runs.append(a) or [], command))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--receivers", "zf",
+                  "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert "--receivers" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_cli_rejects_repeated_receiver(tmp_path, capsys):
     out = tmp_path / "o.csv"
     rc = cli.main(["ser-sweep", "--receivers", "zf,zf", "--out", str(out)])
@@ -881,6 +905,9 @@ OUT_OF_RANGE = [
     # two points whose rows the CSV could not tell apart
     ({"snr_db_list": [10.0, 10.0]}, "snr_db_list"),
     ({"snr_db_list": [12.3456781, 12.3456789]}, "snr_db_list"),
+    # a reversed range, which numpy's uniform draw does not refuse
+    ({"channel": {"mean_aoa_range_rad": [1.0, -1.0]}},
+     "channel.mean_aoa_range_rad"),
 ]
 
 
@@ -907,7 +934,8 @@ _channels = st.integers(1, 8).flatmap(lambda k: st.builds(
     angular_spread_deg=_finite(1e-3, 90.0), n_rays=st.integers(1, 16),
     velocity_mps=_finite(0.0, 1e3),
     mean_aoa_range_rad=st.tuples(_finite(-math.pi / 2, math.pi / 2),
-                                 _finite(-math.pi / 2, math.pi / 2))))
+                                 _finite(-math.pi / 2, math.pi / 2)).map(
+        lambda v: tuple(sorted(v)))))
 
 _configs = st.builds(
     ExperimentConfig,
@@ -1099,6 +1127,13 @@ def test_cli_rejects_wrong_typed_config(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # receivers as data
+
+
+def test_the_receiver_table_holds_exactly_the_experiments_arms():
+    # every arm of every experiment is a row, and no row is left unrun
+    assert set(harness._RECEIVERS) == (set(ALL_RECEIVERS)
+                                       | set(ABLATION_SYSTEMS)
+                                       | set(harness.ADAPTIVE_VARIANTS))
 
 
 def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
