@@ -11,7 +11,7 @@ from .channel import (ChannelConfig, ChannelProcess, draw_process, realize,
                       steering_vector)
 from .frontend import (QAM16, AdcConfig, Qam16, SalehParams, bias_quantize,
                        calibrate_adc, ideal_adc, pa_distort, quantize,
-                       quantize_iq, signal_power, transmit)
+                       quantize_iq, transmit)
 from .receivers import (BorrowedElmModel, RealImagWeights,
                         detect_borrowed_elm, detect_linear,
                         detect_natural_elm, elm_estimate, mmse_weights,

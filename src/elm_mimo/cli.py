@@ -21,6 +21,8 @@ _EXPERIMENTS = {
                       "biasing/quantization ablation"),
     "adaptive": (harness.run_adaptive, "time-varying channel tracking"),
 }
+# --preset name -> built-in config
+_PRESETS = {"desk": harness.desk_config, "paper": harness.paper_config}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         source = sp.add_mutually_exclusive_group()
         source.add_argument("--config", help="JSON experiment config")
-        source.add_argument("--preset", choices=("desk", "paper"),
+        source.add_argument("--preset", choices=tuple(_PRESETS),
                             help="built-in config (default: desk)")
         sp.add_argument("--seed", type=int, help="override master_seed")
         sp.add_argument("--out", required=True, help="output CSV path")
@@ -46,12 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> harness.ExperimentConfig:
-    if args.config:
-        cfg = harness.load_config(args.config)
-    elif args.preset == "paper":
-        cfg = harness.paper_config()
-    else:
-        cfg = harness.desk_config()
+    cfg = (harness.load_config(args.config) if args.config
+           else _PRESETS[args.preset or "desk"]())
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "receivers", None):

@@ -19,7 +19,6 @@ __all__ = [
     "QAM16",
     "SalehParams",
     "pa_distort",
-    "signal_power",
     "noise_planes",
     "transmit",
     "AdcConfig",
@@ -57,8 +56,6 @@ class Qam16:
     """
 
     order = 16
-    # half of the minimum distance 2/sqrt(10)
-    half_min_distance = 1.0 / np.sqrt(10.0)
 
     def __init__(self):
         pts = np.empty(16, dtype=complex)
@@ -111,13 +108,6 @@ def pa_distort(x, p: SalehParams):
     return amp * np.exp(1j * (np.angle(x) + phase))
 
 
-def signal_power(saleh: SalehParams | None) -> float:
-    """Per-user transmitted power: mean |f(c)|^2 over the constellation."""
-    pts = QAM16.points
-    s = pa_distort(pts, saleh) if saleh is not None else pts
-    return float(np.mean(np.abs(s) ** 2))
-
-
 def noise_planes(rng: np.random.Generator, shape) -> np.ndarray:
     """(2, *shape) standard normals: the real plane, then the imaginary."""
     planes = np.empty((2, *shape))
@@ -127,19 +117,20 @@ def noise_planes(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
-             rng: np.random.Generator, saleh: SalehParams | None = None,
+             rng: np.random.Generator,
              noise: np.ndarray | None = None) -> np.ndarray:
-    """y = H f(x) + n with circular complex Gaussian noise of variance sigma2.
+    """y = H x + n with circular complex Gaussian noise of variance sigma2.
 
-    x may be a length-K vector or an (M, K) batch of symbol vectors; the
-    result is (N,) or (M, N) accordingly.  n is sqrt(sigma2 / 2) times
-    noise, the (2, *y.shape) planes, scaled in place; drawn if None.
+    x is sent as given: an amplifier is applied beforehand, with
+    pa_distort.  x may be a length-K vector or an (M, K) batch of symbol
+    vectors; the result is (N,) or (M, N) accordingly.  n is
+    sqrt(sigma2 / 2) times noise, the (2, *y.shape) planes, scaled in
+    place; drawn if None.
     """
     if not 0 <= sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and nonnegative: {sigma2!r}")
     x = np.asarray(x)
-    s = pa_distort(x, saleh) if saleh is not None else x
-    y = np.asarray(s @ H.T if x.ndim == 2 else H @ s, dtype=complex)
+    y = np.asarray(x @ H.T if x.ndim == 2 else H @ x, dtype=complex)
     if sigma2 > 0:
         n = noise_planes(rng, y.shape) if noise is None else noise
         n *= np.sqrt(sigma2 / 2.0)

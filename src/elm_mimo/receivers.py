@@ -128,15 +128,15 @@ def _hidden(model_w: np.ndarray, model_b: np.ndarray, r: np.ndarray) -> np.ndarr
 
 
 def train_borrowed_elm(R: np.ndarray, X_train: np.ndarray, gamma: float,
-                       hidden_size: int, rng: np.random.Generator,
-                       weight_scale: float = 0.1) -> BorrowedElmModel:
+                       hidden_size: int,
+                       rng: np.random.Generator) -> BorrowedElmModel:
     """Train on unbiased quantized stacks R (M x 2N); input weights and
-    hidden biases are uniform on [-weight_scale, weight_scale]."""
+    hidden biases are uniform on [-0.1, 0.1]."""
     R = _real(R, "R")
     if hidden_size < 1:
         raise ValueError("hidden_size must be >= 1")
-    W_in = rng.uniform(-weight_scale, weight_scale, (hidden_size, R.shape[1]))
-    b = rng.uniform(-weight_scale, weight_scale, hidden_size)
+    W_in = rng.uniform(-0.1, 0.1, (hidden_size, R.shape[1]))
+    b = rng.uniform(-0.1, 0.1, hidden_size)
     out = train_natural_elm(_hidden(W_in, b, R), X_train, gamma)
     return BorrowedElmModel(input_weights=W_in, biases=b, out=out)
 

@@ -8,7 +8,7 @@ import pytest
 
 from elm_mimo import harness
 from elm_mimo.channel import ChannelConfig, realize
-from elm_mimo.frontend import QAM16, SalehParams, pa_distort, signal_power
+from elm_mimo.frontend import QAM16, SalehParams, pa_distort
 from elm_mimo.harness import ConverterConfig, desk_config, run_ser_sweep
 
 
@@ -27,10 +27,13 @@ def _assert_zf_errors_match(cfg, error_probability):
         np.diag(np.linalg.inv(H.conj().T @ H)).real
         for H in (realize(harness._Trial(cfg, t, ()).channel, 0)
                   for t in range(cfg.trials))]
+    sent = (QAM16.points if cfg.saleh is None
+            else pa_distort(QAM16.points, cfg.saleh))
+    power = float(np.mean(np.abs(sent) ** 2))
     records = run_ser_sweep(cfg)
     assert [r.snr_db for r in records] == list(cfg.snr_db_list)
     for rec in records:
-        sigma2 = signal_power(cfg.saleh) * 10.0 ** (-rec.snr_db / 10.0)
+        sigma2 = power * 10.0 ** (-rec.snr_db / 10.0)
         mean = var = 0.0
         for diagonal in inverse_diagonals:
             q = [error_probability(math.sqrt(sigma2 * v / 2.0))
@@ -85,3 +88,23 @@ def test_genie_zf_behind_the_saleh_pa_matches_its_closed_form():
         return 1.0 - float(np.mean(np.multiply(axes[0::2], axes[1::2])))
 
     _assert_zf_errors_match(cfg, error_probability)
+
+
+def test_a_linear_readout_behind_the_saleh_pa_errs_on_the_inner_labels():
+    # Regressing c on f(c) over the 16 labels gives one complex gain g.
+    # With unlimited data and no noise a linear readout decides on
+    # g f(c): at the default drive the four inner points land past a
+    # boundary and the four corners just inside one, the floor that
+    # every trained linear readout shares.
+    c = QAM16.points
+    f = pa_distort(c, SalehParams())
+    g = np.mean(c * f.conj()) / np.mean(np.abs(f) ** 2)
+    assert g == pytest.approx(0.829 - 0.647j, abs=1e-3)
+    estimate = g * f
+    wrong = np.flatnonzero(QAM16.demap(estimate) != np.arange(16))
+    assert wrong.tolist() == [5, 7, 13, 15]
+    edges = np.array([-2.0, 0.0, 2.0]) / math.sqrt(10.0)
+    axes = np.stack([estimate.real, estimate.imag])
+    margin = np.abs(axes[..., None] - edges).min(axis=(0, 2))
+    assert margin[wrong] == pytest.approx(0.0615, abs=1e-4)
+    assert np.flatnonzero(margin < 0.01).tolist() == [0, 2, 8, 10]

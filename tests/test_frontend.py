@@ -9,8 +9,7 @@ from elm_mimo.core import real_stack
 from elm_mimo import harness
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
                                calibrate_adc, ideal_adc, noise_planes,
-                               pa_distort, quantize, quantize_iq,
-                               signal_power, transmit)
+                               pa_distort, quantize, quantize_iq, transmit)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,8 @@ def test_demap_robust_within_half_min_distance():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 16, 500)
     x = QAM16.symbols(labels)
-    r = 0.99 * QAM16.half_min_distance * rng.uniform(0, 1, 500)
+    # half of the minimum distance 2/sqrt(10)
+    r = 0.99 / np.sqrt(10.0) * rng.uniform(0, 1, 500)
     phi = rng.uniform(0, 2 * np.pi, 500)
     assert np.array_equal(QAM16.demap(x + r * np.exp(1j * phi)), labels)
 
@@ -175,8 +175,9 @@ def test_saleh_params_validation():
 
 
 def test_signal_power_post_pa_below_unity():
-    assert signal_power(None) == pytest.approx(1.0)
-    assert 0.0 < signal_power(SalehParams()) < 1.0
+    # the default amplifier compresses the unit-power constellation
+    f = pa_distort(QAM16.points, SalehParams())
+    assert 0.0 < np.mean(np.abs(f) ** 2) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +187,9 @@ def test_signal_power_post_pa_below_unity():
 def test_transmit_noise_free_unit_channel():
     H = np.ones((4, 1), dtype=complex)
     x = np.array([0.3 - 0.4j])
-    p = SalehParams()
-    y = transmit(H, x, 0.0, np.random.default_rng(0), p)
-    assert np.allclose(y, pa_distort(x, p)[0])
+    s = pa_distort(x, SalehParams())
+    y = transmit(H, s, 0.0, np.random.default_rng(0))
+    assert np.allclose(y, s[0])
 
 
 def test_transmit_bypass_is_linear():
@@ -219,8 +220,9 @@ def test_transmit_batch_matches_loop():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     X = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    batch = transmit(H, X, 0.0, rng, SalehParams())
-    rows = [transmit(H, X[i], 0.0, rng, SalehParams()) for i in range(3)]
+    S = pa_distort(X, SalehParams())
+    batch = transmit(H, S, 0.0, rng)
+    rows = [transmit(H, S[i], 0.0, rng) for i in range(3)]
     assert np.allclose(batch, np.stack(rows))
 
 
@@ -407,10 +409,9 @@ def _reference_bias_quantize(y, adc):
     return _reference_quantize(stacked, adc)
 
 
-def _reference_transmit(H, x, sigma2, rng, saleh=None):
+def _reference_transmit(H, x, sigma2, rng):
     x = np.asarray(x)
-    s = pa_distort(x, saleh) if saleh is not None else x
-    y = s @ H.T if x.ndim == 2 else H @ s
+    y = x @ H.T if x.ndim == 2 else H @ x
     if sigma2 > 0:
         scale = np.sqrt(sigma2 / 2.0)
         n = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
@@ -492,13 +493,15 @@ def test_transmit_matches_reference(n, k, layout, m, sigma2, saleh, seed):
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     x = QAM16.symbols(QAM16.random_labels(rng, (m, 2 * k)))
+    if saleh is not None:   # sent as the amplifier's output
+        x = pa_distort(x, saleh)
     x = {"vector": x[0, :k], "matrix": x[:, :k].copy(),
          "strided": x[:, ::2]}[layout]
     before = x.copy()
     rngs = [np.random.default_rng(seed) for _ in range(2)]
-    got = transmit(H, x, sigma2, rngs[0], saleh)
+    got = transmit(H, x, sigma2, rngs[0])
     assert np.array_equal(x, before)
-    want = _reference_transmit(H, x, sigma2, rngs[1], saleh)
+    want = _reference_transmit(H, x, sigma2, rngs[1])
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
     # the same draws, in the same order
@@ -527,10 +530,12 @@ def test_transmit_with_drawn_planes_matches_own_draws(n, k, m, sigma2, saleh,
     rng = np.random.default_rng(seed)
     H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     x = QAM16.symbols(QAM16.random_labels(rng, (k,) if m is None else (m, k)))
+    if saleh is not None:
+        x = pa_distort(x, saleh)
     rngs = [np.random.default_rng(seed) for _ in range(2)]
     planes = noise_planes(rngs[1], (n,) if m is None else (m, n))
-    got = transmit(H, x, sigma2, rngs[1], saleh, noise=planes)
-    want = transmit(H, x, sigma2, rngs[0], saleh)
+    got = transmit(H, x, sigma2, rngs[1], noise=planes)
+    want = transmit(H, x, sigma2, rngs[0])
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
     if sigma2 > 0:   # else transmit draws nothing and the planes go unused

@@ -700,6 +700,13 @@ def test_cli_config_and_preset_exclude_each_other(tmp_path, capsys,
     assert runs == [desk_config()]
 
 
+def test_cli_paper_preset_loads_the_paper_config():
+    # parsed and loaded only: nothing runs
+    args = cli._build_parser().parse_args(
+        ["ser-sweep", "--preset", "paper", "--out", "x.csv"])
+    assert cli._load(args) == paper_config()
+
+
 def test_cli_adaptive_notes_the_snr_points_it_drops(tmp_path, capsys):
     # the adaptive experiment runs at snr_db_list[0] alone: a longer list
     # earns one note on stderr and leaves the exit code and the CSV as

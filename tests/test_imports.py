@@ -1,11 +1,14 @@
 """Every name a package or test module imports is read in that module,
-and every private module-level name of the package is read somewhere in
-the package.
+every private module-level name of the package is read somewhere in
+the package, and every public name is read by the package, the
+benchmark or the acceptance tests.
 
 There is no linter among the test dependencies, so this stands in for
 its unused-import and dead-code rules.  Names listed in a module's
-``__all__`` count as read: they are re-exported on purpose.  The
-acceptance tests are left out: that file is kept as written.
+``__all__`` count as read by that module: they are re-exported on
+purpose, and the public-name guard checks that someone reads them.  The
+acceptance tests are left out of the import check: that file is kept as
+written.
 """
 import ast
 import subprocess
@@ -16,9 +19,26 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "elm_mimo"
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(p for p in TESTS.glob("test_*.py")
                       if p.name != "test_acceptance.py")
+
+
+def _exported(tree) -> set:
+    """The names a module lists in __all__."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def _read(trees) -> set:
+    """Every name the trees read, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
 
 
 def _unused_imports(source: str) -> list:
@@ -33,11 +53,7 @@ def _unused_imports(source: str) -> list:
                 bound[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
+    read |= _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in read)
 
@@ -62,10 +78,7 @@ def _unread_private_names(sources: dict) -> list:
     {file name: source} modules that no module reads, as a name or as an
     attribute."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
+    read = _read(trees.values())
     unread = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -99,6 +112,37 @@ def test_guard_sees_an_unread_private_name():
                         "def __getattr__(name):\n    return _N\n"),
                "b.py": "from .a import _Kept\nx = a._Kept\n"}
     assert _unread_private_names(sources) == ["a.py: _left_behind"]
+
+
+def _unread_public_names(exporters: dict, readers: list) -> list:
+    """Names in the __all__ of the {file name: source} exporters that
+    none of the reader sources reads, as a name or as an attribute."""
+    read = _read(ast.parse(src) for src in readers)
+    return sorted(f"{name}: {public}" for name, src in exporters.items()
+                  for public in _exported(ast.parse(src))
+                  if public not in read)
+
+
+def test_no_unread_public_names():
+    # a public name is kept for a program that uses it: the package
+    # itself (not its re-exports), the benchmark or the acceptance
+    # criteria, which the other tests do not stand in for
+    exporters = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8")
+               for p in [*MODULES, *PERFBENCH.rglob("*.py"),
+                         TESTS / "test_acceptance.py"]]
+    assert _unread_public_names(exporters, readers) == []
+
+
+def test_guard_sees_an_unread_public_name():
+    exporters = {"a.py": ("__all__ = ['f', 'g', 'h', 'K']\n"
+                          "def f():\n    return g()\n"
+                          "def g():\n    pass\n"
+                          "def h():\n    pass\n"
+                          "K = 3\n")}
+    readers = [*exporters.values(),
+               "from .a import f, h\nimport a\nx = a.K + f()\n"]
+    assert _unread_public_names(exporters, readers) == ["a.py: h"]
 
 
 @pytest.mark.parametrize("module", ["scipy.special", "scipy.constants"])

@@ -271,11 +271,19 @@ def test_borrowed_hidden_range():
     assert np.allclose(_hidden(np.zeros((4, 8)), np.zeros(4), R), 0.5)
 
 
+class _ZeroDraws:
+    """A generator stand-in whose uniform draws are all zero."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
 def test_borrowed_degenerate_weights_do_not_crash():
     rng = np.random.default_rng(11)
     R = rng.standard_normal((30, 6))
     X = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
-    m = train_borrowed_elm(R, X, 0.5, 8, rng, weight_scale=0.0)
+    m = train_borrowed_elm(R, X, 0.5, 8, _ZeroDraws())
+    assert not m.input_weights.any() and not m.biases.any()
     est = borrowed_estimate(m, R)
     assert np.isfinite(est).all()
 
