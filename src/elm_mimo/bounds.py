@@ -11,8 +11,6 @@ import numbers
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 
-__all__ = ["BOUNDS", "MIN_CALIBRATION", "check", "typed"]
-
 MIN_CALIBRATION = 100   # the fewest real samples an ADC calibrates on
 POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
 # the least scale or Saleh coefficient: a subnormal one underflows the

@@ -16,14 +16,6 @@ from .bounds import check
 
 SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by the SI definition of the metre
 
-__all__ = [
-    "ChannelConfig",
-    "ChannelProcess",
-    "steering_vector",
-    "draw_process",
-    "realize",
-]
-
 
 @dataclass(frozen=True)
 class ChannelConfig:

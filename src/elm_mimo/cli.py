@@ -52,7 +52,7 @@ def _load(args) -> harness.ExperimentConfig:
            else _PRESETS[args.preset or "desk"]())
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "receivers", None):
+    if getattr(args, "receivers", None) is not None:
         cfg = replace(cfg, receivers=tuple(args.receivers.split(",")))
     return cfg
 

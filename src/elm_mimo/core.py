@@ -13,17 +13,6 @@ from copy import copy
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-__all__ = [
-    "gram",
-    "factor",
-    "ridge_solve",
-    "real_composite",
-    "real_stack",
-    "RlsState",
-    "rls_init",
-    "rls_step",
-]
-
 
 def gram(Z: np.ndarray, gamma: float) -> np.ndarray:
     """Regularized Gram matrix Z^H Z + gamma I of real or complex Z."""

@@ -14,21 +14,6 @@ import numpy as np
 from .bounds import MIN_CALIBRATION, check
 from .core import _real
 
-__all__ = [
-    "Qam16",
-    "QAM16",
-    "SalehParams",
-    "pa_distort",
-    "noise_planes",
-    "transmit",
-    "AdcConfig",
-    "ideal_adc",
-    "quantize",
-    "quantize_iq",
-    "bias_quantize",
-    "calibrate_adc",
-]
-
 
 # Per-dimension Gray code for 2 bits: adjacent amplitude levels differ
 # in exactly one bit.  _GRAY_CODES lists the codes in level order.

@@ -57,23 +57,6 @@ from .receivers import (detect_linear, detect_natural_elm,
                         oselm_update, oselm_weights, train_borrowed_elm,
                         train_natural_elm, train_zf_direct, zf_weights)
 
-__all__ = [
-    "AdaptiveConfig",
-    "ConverterConfig",
-    "ExperimentConfig",
-    "desk_config",
-    "paper_config",
-    "load_config",
-    "config_from_dict",
-    "config_to_dict",
-    "SerRecord",
-    "run_ser_sweep",
-    "run_bias_ablation",
-    "run_adaptive",
-    "write_csv",
-    "CSV_HEADER",
-]
-
 # the arms of each experiment, all rows of _RECEIVERS: the sweep's (a config
 # runs some of them), the ablation's and the adaptive experiment's
 ALL_RECEIVERS = ("natural-elm", "borrowed-elm", "trained-zf", "zf", "mmse")
@@ -254,8 +237,9 @@ class _Trial:
         self.channel = draw_process(cfg.channel, kids[0])
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
-        self.power = (float(np.mean(np.abs(self.sent) ** 2))
-                      if cfg.snr_reference == "post-pa" else 1.0)
+        # E|f(c)|^2, and the power the SNR refers to
+        self.signal = float(np.mean(np.abs(self.sent) ** 2))
+        self.power = self.signal if cfg.snr_reference == "post-pa" else 1.0
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
         self.plan, self.ahead = deque(plan), deque()
@@ -404,8 +388,9 @@ _RECEIVERS = {
         lambda m, R: detect_borrowed_elm(m, R)),
     "zf": (_IQ, lambda t, R, X, _: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
-    "mmse": (_IQ, lambda t, R, X, _: mmse_weights(t.H, t.snr),
-             lambda m, R: detect_linear(m, R)),
+    # regularized with the block's noise-to-signal ratio sigma^2 / E|f(c)|^2
+    "mmse": (_IQ, lambda t, R, X, _: mmse_weights(
+        t.H, t.snr * (t.signal / t.power)), lambda m, R: detect_linear(m, R)),
     # the ablation's other systems: the natural-ELM readout, under
     # gamma.natural-elm, without the quantizer or the biases or both
     "trained-zf-unquantized": (_CLIP, *_NATURAL),

@@ -17,24 +17,6 @@ from .core import (RlsState, _real, factor, gram, real_stack, ridge_solve,
                    rls_init, rls_step)
 from .frontend import QAM16
 
-__all__ = [
-    "RealImagWeights",
-    "train_natural_elm",
-    "train_zf_direct",
-    "elm_estimate",
-    "detect_natural_elm",
-    "zf_weights",
-    "mmse_weights",
-    "detect_linear",
-    "BorrowedElmModel",
-    "train_borrowed_elm",
-    "borrowed_estimate",
-    "detect_borrowed_elm",
-    "oselm_init",
-    "oselm_update",
-    "oselm_weights",
-]
-
 
 @dataclass(frozen=True)
 class RealImagWeights:

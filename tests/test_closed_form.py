@@ -17,16 +17,34 @@ def _q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _assert_zf_errors_match(cfg, error_probability):
-    """Run cfg's sweep of the zf receiver alone and compare each SNR
-    point's errors, summed over users and trials, with their expectation:
-    user k errs with probability error_probability(s), s^2 being its
-    per-axis noise variance sigma2 [(H^H H)^-1]_kk / 2 for the trial's H
-    and sigma2 the transmitted power over the SNR.  |z| <= 4."""
-    inverse_diagonals = [
-        np.diag(np.linalg.inv(H.conj().T @ H)).real
-        for H in (realize(harness._Trial(cfg, t, ()).channel, 0)
-                  for t in range(cfg.trials))]
+# the decision boundaries of one axis of the nominal grid, outermost open
+_EDGES = np.array([-np.inf, -2.0, 0.0, 2.0, np.inf]) / math.sqrt(10.0)
+
+
+def _interval_error(centres, s: float) -> float:
+    """The SER of estimates centred on centres[label] plus circular
+    Gaussian noise of per-axis deviation s: a decision is correct with
+    the product over both axes of the normal probability of the interval
+    around the label's level, and the SER is 1 minus its mean over the
+    16 labels."""
+    correct = []
+    for c, mu in zip(QAM16.points, centres):
+        p = 1.0
+        for level, m in ((c.real, mu.real), (c.imag, mu.imag)):
+            i = round((level * math.sqrt(10.0) + 3.0) / 2.0)
+            p *= _q((_EDGES[i] - m) / s) - _q((_EDGES[i + 1] - m) / s)
+        correct.append(p)
+    return 1.0 - float(np.mean(correct))
+
+
+def _assert_errors_match(cfg, error_probabilities):
+    """Run cfg's sweep of its one receiver and compare each SNR point's
+    errors, summed over users and trials, with their expectation:
+    error_probabilities(H, sigma2) lists each user's error probability
+    for the trial's H, sigma2 being the transmitted power over the SNR.
+    |z| <= 4."""
+    channels = [realize(harness._Trial(cfg, t, ()).channel, 0)
+                for t in range(cfg.trials)]
     sent = (QAM16.points if cfg.saleh is None
             else pa_distort(QAM16.points, cfg.saleh))
     power = float(np.mean(np.abs(sent) ** 2))
@@ -35,16 +53,24 @@ def _assert_zf_errors_match(cfg, error_probability):
     for rec in records:
         sigma2 = power * 10.0 ** (-rec.snr_db / 10.0)
         mean = var = 0.0
-        for diagonal in inverse_diagonals:
-            q = [error_probability(math.sqrt(sigma2 * v / 2.0))
-                 for v in diagonal]
+        for H in channels:
+            q = error_probabilities(H, sigma2)
             mean += cfg.payload_len * sum(q)
-            # ZF noise is correlated across users, so a vector's error
-            # count is bounded by the fully correlated variance
+            # the users' errors are correlated (ZF noise, interference,
+            # one readout error), so a vector's error count is bounded by
+            # the fully correlated variance
             var += cfg.payload_len * sum(math.sqrt(x * (1.0 - x))
                                          for x in q) ** 2
         z = (rec.errors - mean) / math.sqrt(var)
         assert abs(z) <= 4.0, (rec.snr_db, rec.errors, mean, z)
+
+
+def _zf(error_probability):
+    """Per-user error probabilities of genie ZF: error_probability(s), s^2
+    being user k's per-axis noise variance sigma2 [(H^H H)^-1]_kk / 2."""
+    return lambda H, sigma2: [
+        error_probability(math.sqrt(sigma2 * v / 2.0))
+        for v in np.diag(np.linalg.inv(H.conj().T @ H)).real]
 
 
 @pytest.mark.parametrize("n_antennas, n_users", [(16, 8), (12, 10)])
@@ -60,34 +86,59 @@ def test_zf_on_an_ideal_linear_link_matches_its_closed_form(n_antennas,
                   saleh=None, adc=ConverterConfig(bits=None),
                   receivers=("zf",), snr_db_list=(0.0, 5.0, 10.0, 15.0),
                   training_len=10, payload_len=5000, trials=4)
-    _assert_zf_errors_match(cfg, lambda s: 1.0 - (
-        1.0 - 1.5 * _q(math.sqrt(0.1) / s)) ** 2)
+    _assert_errors_match(cfg, _zf(lambda s: 1.0 - (
+        1.0 - 1.5 * _q(math.sqrt(0.1) / s)) ** 2))
 
 
 def test_genie_zf_behind_the_saleh_pa_matches_its_closed_form():
     # Genie ZF undoes H but not the amplifier: user k's output is f(c)
-    # plus the noise above.  The nominal grid decides each axis on the
-    # interval around c's level, so a decision is correct with the
-    # product of two normal interval probabilities around f(c), and the
-    # SER is 1 minus its mean over the 16 labels.  At the default drive
-    # f(c) lies outside c's region, so the SER is worse than guessing.
+    # plus the noise above, decided on the nominal grid.  At the default
+    # drive f(c) lies outside c's region, so the SER is worse than
+    # guessing.
     saleh = SalehParams()
     cfg = replace(desk_config(), saleh=saleh, adc=ConverterConfig(bits=None),
                   receivers=("zf",), snr_db_list=(10.0, 20.0),
                   training_len=10, payload_len=5000, trials=4)
-    edges = np.array([-np.inf, -2.0, 0.0, 2.0, np.inf]) / math.sqrt(10.0)
-    # per label and axis, the decision interval of its level around f(c)
-    intervals = [(edges[i], edges[i + 1], mu) for c, fc in zip(
-        QAM16.points, pa_distort(QAM16.points, saleh))
-        for level, mu in ((c.real, fc.real), (c.imag, fc.imag))
-        for i in [round((level * math.sqrt(10.0) + 3.0) / 2.0)]]
+    sent = pa_distort(QAM16.points, saleh)
+    _assert_errors_match(cfg, _zf(lambda s: _interval_error(sent, s)))
 
-    def error_probability(s):
-        axes = [_q((lo - mu) / s) - _q((hi - mu) / s)
-                for lo, hi, mu in intervals]
-        return 1.0 - float(np.mean(np.multiply(axes[0::2], axes[1::2])))
 
-    _assert_zf_errors_match(cfg, error_probability)
+@pytest.mark.parametrize("training_len, snr_db_list",
+                         [(3000, (10.0, 30.0)), (30_000, (20.0,))],
+                         ids=["M3000", "M30000"])
+def test_trained_zf_behind_the_saleh_pa_matches_its_floor(training_len,
+                                                          snr_db_list):
+    # With s = f(c) of power P and gain rho = E[c f(c)*] (the widely
+    # linear terms vanish by the grid's symmetry), the LMMSE readout of c
+    # from y = H s + n is W = rho (P H^H H + sigma2 I)^-1 H^H.  With
+    # A = W H, user k's estimate is A_kk f(c) plus the interference
+    # sum_j!=k A_kj f(c_j) and the noise w_k n.  Two approximations:
+    # the interference is Gaussian, and a readout fitted on M rows of
+    # 2N regressors adds the misadjustment eps_k 2N / M to the squared
+    # error, eps_k being the LMMSE readout's own.  Without that term the
+    # model misses M = 3000 at 30 dB by z = 28.8.
+    cfg = replace(desk_config(), adc=ConverterConfig(bits=None),
+                  receivers=("trained-zf",), snr_db_list=snr_db_list,
+                  training_len=training_len, payload_len=5000, trials=4)
+    c = QAM16.points
+    f = pa_distort(c, cfg.saleh)
+    P, rho = np.mean(np.abs(f) ** 2), np.mean(c * f.conj())
+    excess = 2 * cfg.channel.n_antennas / cfg.training_len
+
+    def error_probabilities(H, sigma2):
+        W = rho * np.linalg.solve(P * H.conj().T @ H
+                                  + sigma2 * np.eye(H.shape[1]), H.conj().T)
+        A = W @ H
+        q = []
+        for k, a in enumerate(np.diag(A)):
+            other = (P * (np.sum(np.abs(A[k]) ** 2) - abs(a) ** 2)
+                     + sigma2 * np.sum(np.abs(W[k]) ** 2))
+            eps = np.mean(np.abs(c - a * f) ** 2) + other
+            q.append(_interval_error(a * f, math.sqrt(
+                (other + eps * excess) / 2.0)))
+        return q
+
+    _assert_errors_match(cfg, error_probabilities)
 
 
 def test_a_linear_readout_behind_the_saleh_pa_errs_on_the_inner_labels():
@@ -103,8 +154,7 @@ def test_a_linear_readout_behind_the_saleh_pa_errs_on_the_inner_labels():
     estimate = g * f
     wrong = np.flatnonzero(QAM16.demap(estimate) != np.arange(16))
     assert wrong.tolist() == [5, 7, 13, 15]
-    edges = np.array([-2.0, 0.0, 2.0]) / math.sqrt(10.0)
     axes = np.stack([estimate.real, estimate.imag])
-    margin = np.abs(axes[..., None] - edges).min(axis=(0, 2))
+    margin = np.abs(axes[..., None] - _EDGES[1:-1]).min(axis=(0, 2))
     assert margin[wrong] == pytest.approx(0.0615, abs=1e-4)
     assert np.flatnonzero(margin < 0.01).tolist() == [0, 2, 8, 10]

@@ -42,7 +42,7 @@ GOLDEN = [
     ("sweep-pre-pa-3bit", run_ser_sweep,
      {"snr_reference": "pre-pa", "adc": ConverterConfig(bits=3),
       "master_seed": 7},
-     "9a2b46993c20347751399521e770841bd1971ee87fc363c7c0de0a8c0f535134"),
+     "9c9dd0091cb8a535dc6fd9e6407e5b4f9a1d7c23397cdd7c890fd896a7ad645c"),
     ("ablation", run_bias_ablation, {},
      "bf3daa99a8814cbffc6436bd2462688be6cb6a150fec14b95f25d7290a516383"),
     ("ablation-ideal-per-user", run_bias_ablation,

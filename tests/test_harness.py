@@ -23,7 +23,7 @@ from elm_mimo.bounds import BOUNDS
 from elm_mimo.channel import ChannelConfig
 from elm_mimo.core import real_stack
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, noise_planes,
-                               quantize_iq)
+                               pa_distort, quantize_iq)
 from elm_mimo.harness import (ABLATION_SYSTEMS, ALL_RECEIVERS, CSV_HEADER,
                               AdaptiveConfig, ConverterConfig,
                               ExperimentConfig, config_from_dict,
@@ -242,6 +242,27 @@ def test_sweep_ser_decreases_with_snr():
     by = {(r.receiver, r.snr_db): r.ser for r in recs}
     for recv in ("natural-elm", "mmse"):
         assert by[(recv, 12.0)] < by[(recv, 0.0)]
+
+
+@pytest.mark.parametrize("reference", ["post-pa", "pre-pa"])
+def test_mmse_regularizes_with_the_noise_to_signal_ratio(monkeypatch,
+                                                         reference):
+    # the noise is sigma^2 = power / snr, the power being P = E|f(c)|^2
+    # under post-pa and 1 under pre-pa, so MMSE's ridge term sigma^2 / P
+    # is 1 / snr under post-pa and 1 / (snr P) under pre-pa
+    snrs = []
+    fit = harness.mmse_weights
+    monkeypatch.setattr(harness, "mmse_weights",
+                        lambda H, snr: snrs.append(snr) or fit(H, snr))
+    run_ser_sweep(_small_config(snr_db_list=(10.0,), trials=1,
+                                payload_len=100, receivers=("mmse",),
+                                snr_reference=reference))
+    P = float(np.mean(np.abs(pa_distort(QAM16.points, SalehParams())) ** 2))
+    assert 0.8 < P < 0.9
+    if reference == "post-pa":
+        assert snrs == [10.0]
+    else:
+        assert snrs == [pytest.approx(10.0 * P, rel=1e-12)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +685,18 @@ def test_cli_rejects_repeated_receiver(tmp_path, capsys):
     assert rc == 2
     assert "receivers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_an_empty_receiver_list(tmp_path, capsys, monkeypatch):
+    # an empty --receivers names no receiver: it is refused, not read as
+    # "all five"
+    runs = []
+    monkeypatch.setitem(cli._EXPERIMENTS, "ser-sweep",
+                        (lambda *a, **k: runs.append(a) or [], "sweep"))
+    out = tmp_path / "o.csv"
+    assert cli.main(["ser-sweep", "--receivers", "", "--out", str(out)]) == 2
+    assert "receivers" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
 
 
 @pytest.mark.parametrize("out", ["missing/o.csv", "."])

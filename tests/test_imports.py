@@ -4,11 +4,11 @@ the package, and every public name is read by the package, the
 benchmark or the acceptance tests.
 
 There is no linter among the test dependencies, so this stands in for
-its unused-import and dead-code rules.  Names listed in a module's
-``__all__`` count as read by that module: they are re-exported on
-purpose, and the public-name guard checks that someone reads them.  The
-acceptance tests are left out of the import check: that file is kept as
-written.
+its unused-import and dead-code rules.  A module's public names are the
+names its top-level functions, classes and assignments bind without a
+leading underscore; no package module lists them again in an
+``__all__``.  The acceptance tests are left out of the import check:
+that file is kept as written.
 """
 import ast
 import subprocess
@@ -25,12 +25,25 @@ TEST_MODULES = sorted(p for p in TESTS.glob("test_*.py")
                       if p.name != "test_acceptance.py")
 
 
+def _defined(tree) -> list:
+    """The names a module's top-level functions, classes and assignments
+    bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            names.append(node.target.id)
+    return names
+
+
 def _exported(tree) -> set:
-    """The names a module lists in __all__."""
-    return {name for node in tree.body if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets)
-            for name in ast.literal_eval(node.value)}
+    """A module's public names: those it defines without a leading
+    underscore."""
+    return {name for name in _defined(tree) if not name.startswith("_")}
 
 
 def _read(trees) -> set:
@@ -53,7 +66,6 @@ def _unused_imports(source: str) -> list:
                 bound[name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    read |= _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in read)
 
@@ -68,9 +80,8 @@ def test_guard_sees_an_unused_import():
     src = ("from __future__ import annotations\n"
            "from dataclasses import dataclass, field\n"
            "import os.path\n"
-           "__all__ = ['field']\n"
            "@dataclass\nclass A:\n    x: int\n")
-    assert _unused_imports(src) == ["os (line 3)"]
+    assert _unused_imports(src) == ["field (line 2)", "os (line 3)"]
 
 
 def _unread_private_names(sources: dict) -> list:
@@ -79,24 +90,10 @@ def _unread_private_names(sources: dict) -> list:
     attribute."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = _read(trees.values())
-    unread = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
-            elif isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets
-                           if isinstance(t, ast.Name)]
-            elif (isinstance(node, ast.AnnAssign)
-                  and isinstance(node.target, ast.Name)):
-                targets = [node.target.id]
-            else:
-                continue
-            unread += [f"{name}: {target}" for target in targets
-                       if target.startswith("_")
-                       and not target.startswith("__")
-                       and target not in read]
-    return sorted(unread)
+    return sorted(f"{name}: {target}" for name, tree in trees.items()
+                  for target in _defined(tree)
+                  if target.startswith("_") and not target.startswith("__")
+                  and target not in read)
 
 
 def test_no_unread_private_names():
@@ -115,8 +112,8 @@ def test_guard_sees_an_unread_private_name():
 
 
 def _unread_public_names(exporters: dict, readers: list) -> list:
-    """Names in the __all__ of the {file name: source} exporters that
-    none of the reader sources reads, as a name or as an attribute."""
+    """Public names of the {file name: source} exporters that none of
+    the reader sources reads, as a name or as an attribute."""
     read = _read(ast.parse(src) for src in readers)
     return sorted(f"{name}: {public}" for name, src in exporters.items()
                   for public in _exported(ast.parse(src))
@@ -135,14 +132,43 @@ def test_no_unread_public_names():
 
 
 def test_guard_sees_an_unread_public_name():
-    exporters = {"a.py": ("__all__ = ['f', 'g', 'h', 'K']\n"
+    # no list names the public names: a function, a class and a
+    # constant are flagged, an imported or private name is not
+    exporters = {"a.py": ("import os\n"
                           "def f():\n    return g()\n"
                           "def g():\n    pass\n"
                           "def h():\n    pass\n"
-                          "K = 3\n")}
+                          "class C:\n    pass\n"
+                          "class D:\n    pass\n"
+                          "K = 3\nLIMIT: int = 4\n_P = 5\n")}
     readers = [*exporters.values(),
-               "from .a import f, h\nimport a\nx = a.K + f()\n"]
-    assert _unread_public_names(exporters, readers) == ["a.py: h"]
+               "from .a import f, h\nimport a\nx = a.LIMIT + f() + a.D()\n"]
+    assert _unread_public_names(exporters, readers) == [
+        "a.py: C", "a.py: K", "a.py: h"]
+
+
+def _all_assignments(source: str) -> list:
+    """Lines of the source that assign a module's __all__."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "__all__"
+            and isinstance(node.ctx, ast.Store)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_package_module_lists_its_public_names(path):
+    # the definitions are the one declaration of a public name; the
+    # library API is the imports of __init__.py
+    assert _all_assignments(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_all_list():
+    src = ("__all__ = ['f']\n"
+           "def f():\n    pass\n"
+           "__all__ += ['g']\n"
+           "g = f\n"
+           "names: list = __all__\n")
+    assert _all_assignments(src) == [1, 4]
 
 
 @pytest.mark.parametrize("module", ["scipy.special", "scipy.constants"])
