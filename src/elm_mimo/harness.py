@@ -6,20 +6,21 @@ A config is a tree of frozen dataclasses that check themselves; its
 JSON document is the same tree, written by `asdict` and loaded by one
 `bounds.typed` call.
 
-One trial engine walks three plans.  A plan lists an experiment's
-blocks in draw order; the engine sends each block through the channel,
-calibrates the trial's converter on it if asked, then visits the named
-arms with it, to fit or to score them.  A fit sees its whole block; a
-score, a sum over rows, sees it in tiles of `_TILE` rows, each with its
-own converter outputs, so its working set does not grow with the block.
-Every arm is a `_RECEIVERS` row: the front end it reads, which decides
-whether the converter's biases and quantizer apply, and a readout
-(train, detect).  A trial groups its arms by front end once, and each
-group shares one front-end call per block.  The sweep runs the
-configured receivers; the ablation reads the natural-ELM readout
-through four front ends, with and without the biases and the quantizer;
-the adaptive experiment runs its three variants through one.  Counts
-are keyed (receiver, snr_db, frame), frame -1 if unframed.
+One trial engine walks three plans.  A plan is data: it lists an
+experiment's blocks in draw order, each ending in a count key, None for
+a fit.  The engine sends each block through the channel as (labels, y),
+calibrates the trial's converter on it if asked, then fits the named
+arms on it or scores them.  A fit sees its whole block; a score, a sum
+over rows, sees it in tiles of `_TILE` rows, each with its own converter
+outputs, so its working set does not grow with the block.  Every arm is
+a `_RECEIVERS` row: the front end it reads, which decides whether the
+converter's biases and quantizer apply, and a readout (train, detect).
+A trial groups its arms by front end once, and each group shares one
+front-end call per block, made when an arm first reads it.  The sweep
+runs the configured receivers; the ablation reads the natural-ELM
+readout through four front ends, with and without the biases and the
+quantizer; the adaptive experiment runs its three variants through
+one.  Counts are keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -246,7 +247,7 @@ class _Trial:
 
     def __enter__(self):
         """One thread per bundled OpenBLAS (a second only spin-waits)."""
-        self.blas = [(_SETTER((put, lib)), _GETTER((get, lib))())
+        self.blas = [(getattr(lib, put), getattr(lib, get)())
                      for lib in _loaded_openblas()
                      for get, put in _OPENBLAS_THREADS
                      if hasattr(lib, get) and hasattr(lib, put)]
@@ -270,13 +271,12 @@ class _Trial:
                 noise_planes(self.noise, (n, ch.n_antennas))), n)))
 
     def send(self, snr_db: float, m: int):
-        """Next block at snr_db through realize(channel, m): (labels, x, y)."""
+        """Next block at snr_db through realize(channel, m): (labels, y)."""
         self.H, self.snr = realize(self.channel, m), 10.0 ** (snr_db / 10.0)
         labels, planes = self.ahead.popleft()[1].result()
         self._draw_ahead()
-        return labels, QAM16.symbols(labels), transmit(
-            self.H, self.sent[labels], self.power / self.snr, None,
-            noise=planes)
+        return labels, transmit(self.H, self.sent[labels],
+                                self.power / self.snr, None, noise=planes)
 
     def calibrate(self, y) -> AdcConfig:
         """Freeze the converter: full scale from the calibration samples y
@@ -305,47 +305,44 @@ class _Trial:
                 f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
                 "converter's step or bias dwarfs the signal") from exc
 
-    def step(self, block, calibrate, names, visit):
+    def step(self, block, calibrate, names, key):
         """With calibrate, first calibrate the converter on the block.  Then
-        run visit(self, arm, R, block) for each named arm (all if names is
-        None), R being its front end's output, computed only for a front
-        end with a named arm."""
+        fit each named arm (all if names is None) on it, key None, or score
+        it: its counts go under (name, *key) = (receiver, snr_db, frame),
+        or (name/user<k>, *key).  A front end's output is computed when an
+        arm of its group first reads it, R()."""
+        labels, y = block
         if calibrate:
-            self.adc = self.calibrate(block[2])
+            self.adc = self.calibrate(y)
+        X = QAM16.symbols(labels) if key is None else None   # the targets
         for front, group in self.groups.items():
-            arms = [arm for arm in group if names is None or arm.name in names]
-            R = front(block[2], self.adc) if arms else None
-            for arm in arms:
-                visit(self, arm, R, block)
-            del R   # hold one converter output at a time
-
-
-def _fit(t: _Trial, arm, R, block):
-    """Train the arm on the block, from its last model."""
-    t.models[arm.name] = arm.train(t, R, block[1], t.models.get(arm.name))
-
-
-def _count(key, t: _Trial, arm, R, block):
-    """Score the arm on a payload block: its counts go under (name, *key) =
-    (receiver, snr_db, frame), or (name/user<k>, *key)."""
-    errs = arm.detect(t.models[arm.name], R) != block[0]
-    for k, e in enumerate(errs.T if t.cfg.per_user else [errs]):
-        ukey = (f"{arm.name}/user{k}" if t.cfg.per_user else arm.name, *key)
-        sym, err = t.counts.get(ukey, (0, 0))
-        t.counts[ukey] = (sym + e.size, err + int(e.sum()))
+            # rebinding R frees the last group's output: one alive at a time
+            R = cache(partial(front, y, self.adc))
+            for arm in (a for a in group if names is None or a.name in names):
+                if key is None:
+                    self.models[arm.name] = arm.train(self, R, X)
+                    continue
+                errs = arm.detect(self.models[arm.name], R()) != labels
+                per_user = self.cfg.per_user
+                for k, e in enumerate(errs.T if per_user else [errs]):
+                    ukey = (f"{arm.name}/user{k}" if per_user else arm.name,
+                            *key)
+                    sym, err = self.counts.get(ukey, (0, 0))
+                    self.counts[ukey] = (sym + e.size, err + int(e.sum()))
 
 
 def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
     """Walk the plan with the arms named in arms: each block (n, snr_db,
-    m, calibrate, names, visit) sends n vectors at snr_db through
+    m, calibrate, names, key) sends n vectors at snr_db through
     realize(channel, m), then steps through the arms with (calibrate,
-    names, visit): a fit once, a count once per tile of _TILE rows."""
+    names, key): a fit once (key None), a count once per tile of _TILE
+    rows."""
     with _Trial(cfg, trial, [n for n, *_ in plan], arms) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
             block = t.send(snr_db, m)
-            for tile in ([block] if step[-1] is _fit else
+            for tile in ([block] if step[-1] is None else
                          (tuple(a[s:s + _TILE] for a in block)
                           for s in range(0, len(block[0]), _TILE))):
                 t.step(tile, *step)
@@ -355,19 +352,21 @@ def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
 _Arm = namedtuple("_Arm", "name train detect")
 
 
-def _oselm_train(t: _Trial, R, X, last):
+def _oselm_train(t: _Trial, R, X):
     """OS-ELM (state, weights): oselm_init on its first block, then updates."""
-    state = (t.solve("oselm", oselm_init, R, X, lam=t.cfg.adaptive.forgetting)
-             if last is None else oselm_update(last[0], R, X))
+    last = t.models.get("oselm")
+    state = (t.solve("oselm", oselm_init, R(), X,
+                     lam=t.cfg.adaptive.forgetting)
+             if last is None else oselm_update(last[0], R(), X))
     return state, t.solve("oselm", oselm_weights, state,
                           faded=last is not None)
 
 
-# receiver -> (front(y, adc), train(trial, R, X, last), detect(model, R)),
-# R being the output of front.  Every front end reads the trial's one
-# calibrated converter and decides whether its biases and its quantizer
-# apply.  Lambdas look functions up when called, so run-time replacements
-# (tracing) apply.
+# receiver -> (front(y, adc), train(trial, R, X), detect(model, R)), R()
+# being the output of front (a train calls R, a detect gets its value).
+# Every front end reads the trial's one calibrated converter and decides
+# whether its biases and its quantizer apply.  Lambdas look functions up
+# when called, so run-time replacements (tracing) apply.
 _STACK = lambda y, adc: bias_quantize(y, adc)   # the biased quantized stack
 _UNBIASED = lambda y, adc: bias_quantize(   # the same stack, biases left off
     y, replace(adc, bias_re=0.0, bias_im=0.0))
@@ -375,21 +374,21 @@ _IQ = lambda y, adc: quantize_iq(y, adc)   # the I/Q quantization, unbiased
 # the stacks without the quantizer: clipped to the same full scale
 _CLIP = lambda y, adc: _UNBIASED(y, replace(adc, bits=None))
 _CLIP_BIASED = lambda y, adc: _STACK(y, replace(adc, bits=None))
-_NATURAL = (lambda t, R, X, _: t.solve("natural-elm", train_natural_elm, R, X),
+_NATURAL = (lambda t, R, X: t.solve("natural-elm", train_natural_elm, R(), X),
             lambda m, R: detect_natural_elm(m, R))
 _RECEIVERS = {
     "natural-elm": (_STACK, *_NATURAL),
-    "trained-zf": (_UNBIASED, lambda t, R, X, _: t.solve(
-        "trained-zf", train_zf_direct, R, X),
+    "trained-zf": (_UNBIASED, lambda t, R, X: t.solve(
+        "trained-zf", train_zf_direct, R(), X),
         lambda m, R: detect_natural_elm(m, R)),
-    "borrowed-elm": (_UNBIASED, lambda t, R, X, _: t.solve(
-        "borrowed-elm", train_borrowed_elm, R, X,
+    "borrowed-elm": (_UNBIASED, lambda t, R, X: t.solve(
+        "borrowed-elm", train_borrowed_elm, R(), X,
         hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
         lambda m, R: detect_borrowed_elm(m, R)),
-    "zf": (_IQ, lambda t, R, X, _: zf_weights(t.H),
+    "zf": (_IQ, lambda t, R, X: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
     # regularized with the block's noise-to-signal ratio sigma^2 / E|f(c)|^2
-    "mmse": (_IQ, lambda t, R, X, _: mmse_weights(
+    "mmse": (_IQ, lambda t, R, X: mmse_weights(
         t.H, t.snr * (t.signal / t.power)), lambda m, R: detect_linear(m, R)),
     # the ablation's other systems: the natural-ELM readout, under
     # gamma.natural-elm, without the quantizer or the biases or both
@@ -399,10 +398,10 @@ _RECEIVERS = {
     # the adaptive variants: the natural-ELM readout under gamma.oselm
     "oselm": (_STACK, _oselm_train,
               lambda m, R: detect_natural_elm(m[1], R)),
-    "retrain-benchmark": (_STACK, lambda t, R, X, _: t.solve(
-        "oselm", train_natural_elm, R, X),
+    "retrain-benchmark": (_STACK, lambda t, R, X: t.solve(
+        "oselm", train_natural_elm, R(), X),
         lambda m, R: detect_natural_elm(m, R)),
-    "frozen": (_STACK, lambda t, R, X, _: t.models["oselm"][1],
+    "frozen": (_STACK, lambda t, R, X: t.models["oselm"][1],
                lambda m, R: detect_natural_elm(m, R)),
 }
 
@@ -414,10 +413,10 @@ def _static_plan(cfg: ExperimentConfig) -> list:
     n = cfg.payload_len
     preamble = 0 if cfg.adc.bits is None else cfg.preamble_len
     return [block for snr_db in cfg.snr_db_list for block in [
-        (preamble, snr_db, 0, True, (), _fit),
-        (cfg.training_len, snr_db, 0, False, None, _fit),
-        *((min(_CHUNK, n - done), snr_db, 0, False, None,
-           partial(_count, (snr_db, -1))) for done in range(0, n, _CHUNK))]]
+        (preamble, snr_db, 0, True, (), None),
+        (cfg.training_len, snr_db, 0, False, None, None),
+        *((min(_CHUNK, n - done), snr_db, 0, False, None, (snr_db, -1))
+          for done in range(0, n, _CHUNK))]]
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +432,13 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
     H is sampled at each frame's first symbol index and held for the
     frame (block fading), which keeps the per-frame benchmark well defined."""
     ad, snr_db = cfg.adaptive, cfg.snr_db_list[0]
-    plan = [(ad.init_len, snr_db, 0, True, ("oselm", "frozen"), _fit)]
+    plan = [(ad.init_len, snr_db, 0, True, ("oselm", "frozen"), None)]
     for f in range(ad.n_frames):
         m = ad.init_len + f * (ad.frame_training_len + ad.frame_data_len)
-        plan += [(ad.frame_training_len, snr_db, m, False, ("oselm",), _fit),
+        plan += [(ad.frame_training_len, snr_db, m, False, ("oselm",), None),
                  (ad.benchmark_training_len, snr_db, m, False,
-                  ("retrain-benchmark",), _fit),
-                 (ad.frame_data_len, snr_db, m, False, None,
-                  partial(_count, (snr_db, f)))]
+                  ("retrain-benchmark",), None),
+                 (ad.frame_data_len, snr_db, m, False, None, (snr_db, f))]
     return plan
 
 
@@ -461,8 +459,6 @@ _OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_",
                       "scipy_openblas_set_num_threads64_"),
                      ("scipy_openblas_get_num_threads",
                       "scipy_openblas_set_num_threads"))
-_GETTER = ctypes.CFUNCTYPE(ctypes.c_int)
-_SETTER = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
 @cache

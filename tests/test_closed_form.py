@@ -103,21 +103,29 @@ def test_genie_zf_behind_the_saleh_pa_matches_its_closed_form():
     _assert_errors_match(cfg, _zf(lambda s: _interval_error(sent, s)))
 
 
-@pytest.mark.parametrize("training_len, snr_db_list",
-                         [(3000, (10.0, 30.0)), (30_000, (20.0,))],
-                         ids=["M3000", "M30000"])
+@pytest.mark.parametrize("training_len, snr_db_list, bits", [
+    pytest.param(3000, (10.0, 30.0), None, id="M3000"),
+    pytest.param(30_000, (20.0,), None, id="M30000"),
+    pytest.param(3000, (10.0, 20.0, 30.0), 6, id="M3000-6bit"),
+    pytest.param(3000, (10.0, 20.0, 30.0), 3, id="M3000-3bit")])
 def test_trained_zf_behind_the_saleh_pa_matches_its_floor(training_len,
-                                                          snr_db_list):
+                                                          snr_db_list, bits):
     # With s = f(c) of power P and gain rho = E[c f(c)*] (the widely
     # linear terms vanish by the grid's symmetry), the LMMSE readout of c
     # from y = H s + n is W = rho (P H^H H + sigma2 I)^-1 H^H.  With
     # A = W H, user k's estimate is A_kk f(c) plus the interference
-    # sum_j!=k A_kj f(c_j) and the noise w_k n.  Two approximations:
-    # the interference is Gaussian, and a readout fitted on M rows of
-    # 2N regressors adds the misadjustment eps_k 2N / M to the squared
-    # error, eps_k being the LMMSE readout's own.  Without that term the
-    # model misses M = 3000 at 30 dB by z = 28.8.
-    cfg = replace(desk_config(), adc=ConverterConfig(bits=None),
+    # sum_j!=k A_kj f(c_j) and the noise w_k n.  Three approximations:
+    # the interference is Gaussian; a readout fitted on M rows of 2N
+    # regressors adds the misadjustment eps_k 2N / M to the squared
+    # error, eps_k being the LMMSE readout's own; and a converter of
+    # step D = 2 headroom RMS / 2^bits adds white quantization noise of
+    # variance D^2 / 12 per real axis (Jacobsson et al., IEEE TWC 2017),
+    # RMS being the per-axis deviation of y, so sigma2 becomes
+    # sigma2 + D^2 / 6.  Without the misadjustment term the model misses
+    # M = 3000 at 30 dB by z = 28.8; without the quantization term it
+    # misses the 3-bit converter by z = -3.5, -5.3 and -5.9 at 10, 20
+    # and 30 dB.
+    cfg = replace(desk_config(), adc=ConverterConfig(bits=bits),
                   receivers=("trained-zf",), snr_db_list=snr_db_list,
                   training_len=training_len, payload_len=5000, trials=4)
     c = QAM16.points
@@ -126,6 +134,10 @@ def test_trained_zf_behind_the_saleh_pa_matches_its_floor(training_len,
     excess = 2 * cfg.channel.n_antennas / cfg.training_len
 
     def error_probabilities(H, sigma2):
+        if bits is not None:
+            rms2 = (P * np.mean(np.sum(np.abs(H) ** 2, axis=1)) + sigma2) / 2
+            step = 2 * cfg.adc.headroom * math.sqrt(rms2) / 2 ** bits
+            sigma2 += step ** 2 / 6
         W = rho * np.linalg.solve(P * H.conj().T @ H
                                   + sigma2 * np.eye(H.shape[1]), H.conj().T)
         A = W @ H

@@ -570,7 +570,7 @@ def caller_blas_threads(request):
     """The caller's BLAS thread counts, set to 1 or 2 for the test."""
     _needs_openblas()
     original = _blas_threads()
-    setters = [harness._SETTER((n.replace("_get_", "_set_"), lib))
+    setters = [getattr(lib, n.replace("_get_", "_set_"))
                for lib in harness._loaded_openblas()
                for n in _OPENBLAS_GETTERS if hasattr(lib, n)]
     for put in setters:
@@ -1180,11 +1180,12 @@ def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
     # the receiver table and the trial helpers look functions up in the
     # harness module when called, so a replacement installed there (as a
     # tracer does) sees every call; one quantizer call per block and
-    # converter serves all receivers that read it, and the frozen arm
+    # converter serves all receivers that read it, none is made where no
+    # arm reads it (the genie fits read H only), and the frozen arm
     # reuses the OS-ELM's initial model (a refit would cost a second Gram)
     expected = {  # sweep + ablation + adaptive, one block each
         "transmit": 3 + 3 + 4, "bias_quantize": 4 + 8 + 4,
-        "quantize_iq": 2, "calibrate_adc": 1 + 1 + 1,
+        "quantize_iq": 1, "calibrate_adc": 1 + 1 + 1,
         "train_natural_elm": 1 + 4 + 1, "train_zf_direct": 1,
         "train_borrowed_elm": 1, "detect_natural_elm": 2 + 4 + 3,
         "detect_borrowed_elm": 1, "detect_linear": 2, "zf_weights": 1,
@@ -1235,18 +1236,17 @@ def test_payloads_are_scored_in_tiles_and_fits_see_whole_blocks(
         "detect_natural_elm": 1, "detect_borrowed_elm": 1,
         "train_natural_elm": 1, "train_zf_direct": 1,
         "train_borrowed_elm": 1, "oselm_init": 1, "oselm_update": 2}
-    calls, visit, step = [], [None], harness._Trial.step
+    calls, key, step = [], [()], harness._Trial.step
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((visit[0] is harness._fit, name,
-                          len(args[rows_arg[name]])))
+            calls.append((key[0] is None, name, len(args[rows_arg[name]])))
             return fn(*args, **kwargs)
         return wrapper
 
-    def tagged_step(t, block, arms_at, names, visit_):
-        visit[0] = visit_
-        return step(t, block, arms_at, names, visit_)
+    def tagged_step(t, block, calibrate, names, key_):
+        key[0] = key_
+        return step(t, block, calibrate, names, key_)
 
     for name in rows_arg:
         monkeypatch.setattr(harness, name,
