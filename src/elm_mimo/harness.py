@@ -11,16 +11,17 @@ experiment's blocks in draw order, each ending in a count key, None for
 a fit.  The engine sends each block through the channel as (labels, y),
 calibrates the trial's converter on it if asked, then fits the named
 arms on it or scores them.  A fit sees its whole block; a score, a sum
-over rows, sees it in tiles of `_TILE` rows, each with its own converter
-outputs, so its working set does not grow with the block.  Every arm is
-a `_RECEIVERS` row: the front end it reads, which decides whether the
-converter's biases and quantizer apply, and a readout (train, detect).
-A trial groups its arms by front end once, and each group shares one
+over rows, sees it in tiles of `_TILE` rows, each with its own
+converter outputs, so its working set does not grow with the block.
+Every arm is a `_RECEIVERS` row: the front end it reads (whether the
+converter's biases and quantizer apply), the `gamma.<key>` it fits
+under, and a readout (train, detect); a singular fit names the keys
+that set it.  Arms are grouped by front end, and each group shares one
 front-end call per block, made when an arm first reads it.  The sweep
 runs the configured receivers; the ablation reads the natural-ELM
 readout through four front ends, with and without the biases and the
-quantizer; the adaptive experiment runs its three variants through
-one.  Counts are keyed (receiver, snr_db, frame), frame -1 if unframed.
+quantizer; the adaptive experiment runs its three variants through one.
+Counts are keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -56,7 +57,7 @@ from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
 from .receivers import (detect_linear, detect_natural_elm,
                         detect_borrowed_elm, mmse_weights, oselm_init,
                         oselm_update, oselm_weights, train_borrowed_elm,
-                        train_natural_elm, train_zf_direct, zf_weights)
+                        train_natural_elm, zf_weights)
 
 # the arms of each experiment, all rows of _RECEIVERS: the sweep's (a config
 # runs some of them), the ablation's and the adaptive experiment's
@@ -233,8 +234,8 @@ class _Trial:
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.counts, self.groups, self.models = cfg, {}, {}, {}
         for name in names:
-            front, train, detect = _RECEIVERS[name]
-            self.groups.setdefault(front, []).append(_Arm(name, train, detect))
+            front, *row = _RECEIVERS[name]
+            self.groups.setdefault(front, []).append(_Arm(name, *row))
         self.channel = draw_process(cfg.channel, kids[0])
         self.sent = (QAM16.points if cfg.saleh is None   # f(c) per label
                      else pa_distort(QAM16.points, cfg.saleh))
@@ -288,22 +289,31 @@ class _Trial:
                calibrate_adc(real_stack(y), conv.bits, conv.headroom))
         return replace(adc, bias_re=b_re, bias_im=b_im)
 
-    def solve(self, receiver: str, fit, *args, faded=False, **kwargs):
-        """fit(*args, gamma=the receiver's gamma, **kwargs); a singular
-        solve names the keys that set it (faded: OS-ELM updates ran)."""
-        cfg, gamma = self.cfg, self.cfg.gamma_for(receiver)
+    def fit(self, arm, R, X):
+        """arm.train(self, R, X, gamma) under its row's gamma key; a
+        singular solve names the keys that set it."""
+        cfg, ch, key = self.cfg, self.cfg.channel, arm.gamma
+        gamma = key and cfg.gamma_for(key)   # None for a genie combiner
         try:
-            return fit(*args, gamma=gamma, **kwargs)
-        except np.linalg.LinAlgError as exc:   # core.factor's singular G
+            return arm.train(self, R, X, gamma)
+        except np.linalg.LinAlgError as exc:   # a singular G, or H^H H
+            if key is None:
+                raise ValueError(
+                    f"{exc}: widen config key 'channel.mean_aoa_range_rad' "
+                    f"(now {ch.mean_aoa_range_rad!r}) or 'channel.angular_"
+                    f"spread_deg' (now {ch.angular_spread_deg!r}), or raise "
+                    f"'channel.n_rays' (now {ch.n_rays!r})") from exc
             fades = (f"'adaptive.forgetting' (now {cfg.adaptive.forgetting!r}"
                      "; each update fades the regularization) or "
-                     if faded else "")
+                     if arm.name == "oselm" and "oselm" in self.models else "")
+            # an ideal converter (bits None) has no step to lower
+            step, what = (("", "") if cfg.adc.bits is None else (
+                f"'adc.headroom' (now {cfg.adc.headroom!r}) or ", "step or "))
             raise ValueError(
-                f"singular normal equations in the {receiver} readout: raise "
-                f"config key {fades}'gamma.{receiver}' (now {gamma!r}), or "
-                f"lower 'adc.headroom' (now {cfg.adc.headroom!r}) or "
-                f"'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
-                "converter's step or bias dwarfs the signal") from exc
+                f"singular normal equations in the {key} readout: raise "
+                f"config key {fades}'gamma.{key}' (now {gamma!r}), or lower "
+                f"{step}'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
+                f"converter's {what}bias dwarfs the signal") from exc
 
     def step(self, block, calibrate, names, key):
         """With calibrate, first calibrate the converter on the block.  Then
@@ -320,7 +330,7 @@ class _Trial:
             R = cache(partial(front, y, self.adc))
             for arm in (a for a in group if names is None or a.name in names):
                 if key is None:
-                    self.models[arm.name] = arm.train(self, R, X)
+                    self.models[arm.name] = self.fit(arm, R, X)
                     continue
                 errs = arm.detect(self.models[arm.name], R()) != labels
                 per_user = self.cfg.per_user
@@ -349,24 +359,23 @@ def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
         return t.counts
 
 
-_Arm = namedtuple("_Arm", "name train detect")
+_Arm = namedtuple("_Arm", "name gamma train detect")
 
 
-def _oselm_train(t: _Trial, R, X):
+def _oselm_train(t: _Trial, R, X, gamma):
     """OS-ELM (state, weights): oselm_init on its first block, then updates."""
     last = t.models.get("oselm")
-    state = (t.solve("oselm", oselm_init, R(), X,
-                     lam=t.cfg.adaptive.forgetting)
+    state = (oselm_init(R(), X, gamma, t.cfg.adaptive.forgetting)
              if last is None else oselm_update(last[0], R(), X))
-    return state, t.solve("oselm", oselm_weights, state,
-                          faded=last is not None)
+    return state, oselm_weights(state, gamma)
 
 
-# receiver -> (front(y, adc), train(trial, R, X), detect(model, R)), R()
-# being the output of front (a train calls R, a detect gets its value).
-# Every front end reads the trial's one calibrated converter and decides
-# whether its biases and its quantizer apply.  Lambdas look functions up
-# when called, so run-time replacements (tracing) apply.
+# receiver -> (front(y, adc), key, train(trial, R, X, gamma), detect(model,
+# R)): R() is front's output (a train calls R, a detect gets its value),
+# gamma is gamma.<key> (None for a genie combiner, key None).  Every front
+# end reads the trial's one calibrated converter and decides whether its
+# biases and its quantizer apply.  Lambdas look functions up when called,
+# so run-time replacements (tracing) apply.
 _STACK = lambda y, adc: bias_quantize(y, adc)   # the biased quantized stack
 _UNBIASED = lambda y, adc: bias_quantize(   # the same stack, biases left off
     y, replace(adc, bias_re=0.0, bias_im=0.0))
@@ -374,35 +383,31 @@ _IQ = lambda y, adc: quantize_iq(y, adc)   # the I/Q quantization, unbiased
 # the stacks without the quantizer: clipped to the same full scale
 _CLIP = lambda y, adc: _UNBIASED(y, replace(adc, bits=None))
 _CLIP_BIASED = lambda y, adc: _STACK(y, replace(adc, bits=None))
-_NATURAL = (lambda t, R, X: t.solve("natural-elm", train_natural_elm, R(), X),
+_NATURAL = (lambda t, R, X, gamma: train_natural_elm(R(), X, gamma),
             lambda m, R: detect_natural_elm(m, R))
 _RECEIVERS = {
-    "natural-elm": (_STACK, *_NATURAL),
-    "trained-zf": (_UNBIASED, lambda t, R, X: t.solve(
-        "trained-zf", train_zf_direct, R(), X),
-        lambda m, R: detect_natural_elm(m, R)),
-    "borrowed-elm": (_UNBIASED, lambda t, R, X: t.solve(
-        "borrowed-elm", train_borrowed_elm, R(), X,
-        hidden_size=t.cfg.borrowed_hidden, rng=t.borrowed_init),
-        lambda m, R: detect_borrowed_elm(m, R)),
-    "zf": (_IQ, lambda t, R, X: zf_weights(t.H),
+    "natural-elm": (_STACK, "natural-elm", *_NATURAL),
+    "trained-zf": (_UNBIASED, "trained-zf", *_NATURAL),
+    "borrowed-elm": (_UNBIASED, "borrowed-elm",
+                     lambda t, R, X, gamma: train_borrowed_elm(
+                         R(), X, gamma, t.cfg.borrowed_hidden, t.borrowed_init),
+                     lambda m, R: detect_borrowed_elm(m, R)),
+    "zf": (_IQ, None, lambda t, R, X, gamma: zf_weights(t.H),
            lambda m, R: detect_linear(m, R)),
     # regularized with the block's noise-to-signal ratio sigma^2 / E|f(c)|^2
-    "mmse": (_IQ, lambda t, R, X: mmse_weights(
+    "mmse": (_IQ, None, lambda t, R, X, gamma: mmse_weights(
         t.H, t.snr * (t.signal / t.power)), lambda m, R: detect_linear(m, R)),
     # the ablation's other systems: the natural-ELM readout, under
     # gamma.natural-elm, without the quantizer or the biases or both
-    "trained-zf-unquantized": (_CLIP, *_NATURAL),
-    "trained-zf-unquantized-biased": (_CLIP_BIASED, *_NATURAL),
-    "trained-zf-quantized": (_UNBIASED, *_NATURAL),
+    "trained-zf-unquantized": (_CLIP, "natural-elm", *_NATURAL),
+    "trained-zf-unquantized-biased": (_CLIP_BIASED, "natural-elm", *_NATURAL),
+    "trained-zf-quantized": (_UNBIASED, "natural-elm", *_NATURAL),
     # the adaptive variants: the natural-ELM readout under gamma.oselm
-    "oselm": (_STACK, _oselm_train,
+    "oselm": (_STACK, "oselm", _oselm_train,
               lambda m, R: detect_natural_elm(m[1], R)),
-    "retrain-benchmark": (_STACK, lambda t, R, X: t.solve(
-        "oselm", train_natural_elm, R(), X),
-        lambda m, R: detect_natural_elm(m, R)),
-    "frozen": (_STACK, lambda t, R, X: t.models["oselm"][1],
-               lambda m, R: detect_natural_elm(m, R)),
+    "retrain-benchmark": (_STACK, "oselm", *_NATURAL),
+    "frozen": (_STACK, "oselm", lambda t, R, X, gamma: t.models["oselm"][1],
+               _NATURAL[1]),
 }
 
 

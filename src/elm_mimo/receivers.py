@@ -68,11 +68,11 @@ def detect_natural_elm(w: RealImagWeights, r: np.ndarray) -> np.ndarray:
 
 def zf_weights(H: np.ndarray) -> np.ndarray:
     """Complex combiner W = (H^H H)^-1 H^H (K x N), row k recovering
-    user k; requires full column rank."""
+    user k; a rank-deficient H raises LinAlgError (a ValueError)."""
     H = np.asarray(H, dtype=complex)
     G = gram(H, 0.0)
     if np.linalg.cond(G) > 1e14:
-        raise ValueError("channel matrix is rank deficient")
+        raise np.linalg.LinAlgError("channel matrix is rank deficient")
     return cho_solve(factor(G, 0.0), H.conj().T)
 
 

@@ -450,6 +450,46 @@ def test_singular_readout_names_the_converter_keys(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_rank_deficient_genie_channel_names_the_channel_keys(tmp_path,
+                                                            capsys):
+    # one ray of zero spread at one fixed angle gives both users the same
+    # column of H: genie ZF has no full-rank H^H H to invert
+    data = {"channel": {"n_antennas": 16, "n_users": 2, "n_rays": 1,
+                        "angular_spread_deg": 1e-9,
+                        "mean_aoa_range_rad": [0.3, 0.3]},
+            "receivers": ["zf"], "training_len": 300, "payload_len": 1000,
+            "snr_db_list": [10.0]}
+    keys = ("'channel.mean_aoa_range_rad' (now (0.3, 0.3))",
+            "'channel.angular_spread_deg' (now 1e-09)",
+            "'channel.n_rays' (now 1)")
+    with pytest.raises(ValueError, match="rank deficient") as exc:
+        run_ser_sweep(config_from_dict(data))
+    assert all(key in str(exc.value) for key in keys)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg_path.write_text(json.dumps(data))
+    assert cli.main(["ser-sweep", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(key in err for key in keys)
+    assert not out.exists()
+
+
+def test_singular_readout_on_an_ideal_converter_names_no_headroom(tmp_path,
+                                                                  capsys):
+    # 20 rows against 2N = 32 regressors at gamma = 0 leave G singular;
+    # an ideal converter has no full scale, so its headroom is no remedy
+    data = {"channel": {"n_antennas": 16, "n_users": 2}, "adc": "ideal",
+            "gamma": 0.0, "training_len": 20, "receivers": ["natural-elm"]}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg_path.write_text(json.dumps(data))
+    assert cli.main(["ser-sweep", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'gamma.natural-elm'" in err and "'adc.bias_scale'" in err
+    assert "adc.headroom" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("run", [run_ser_sweep, run_bias_ablation,
                                  run_adaptive])
 @pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", True])
@@ -1174,6 +1214,40 @@ def test_the_receiver_table_holds_exactly_the_experiments_arms():
     assert set(harness._RECEIVERS) == (set(ALL_RECEIVERS)
                                        | set(ABLATION_SYSTEMS)
                                        | set(harness.ADAPTIVE_VARIANTS))
+    # and each fits under a gamma key of the config, or none
+    assert all(key is None or key in harness.TRAINED
+               for _, key, *_ in harness._RECEIVERS.values())
+
+
+def test_each_arm_fits_with_the_gamma_its_row_names(monkeypatch):
+    # a distinct gamma per key: a row fitting under another key's gamma
+    # changes the gammas some fit function receives
+    gamma = {"natural-elm": 0.125, "borrowed-elm": 0.25, "trained-zf": 0.5,
+             "oselm": 2.0}
+    expected = {  # sweep (natural-elm, trained-zf), ablation, adaptive
+        "train_natural_elm": [0.125] + [0.125] * 4 + [0.5] + [2.0],
+        "train_borrowed_elm": [0.25], "oselm_init": [2.0],
+        "oselm_weights": [2.0, 2.0]}   # after the init and one update
+    seen = {name: [] for name in expected}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            seen[name].append(bound.arguments["gamma"])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(harness, name,
+                            recording(name, getattr(harness, name)))
+    cfg = _small_config(trials=1, payload_len=400, snr_db_list=(10.0,),
+                        gamma=gamma)
+    run_ser_sweep(cfg)
+    run_bias_ablation(cfg)
+    run_adaptive(replace(cfg, adaptive=AdaptiveConfig(
+        init_len=300, frame_training_len=20, frame_data_len=50,
+        benchmark_training_len=300, n_frames=1)))
+    assert {name: sorted(g) for name, g in seen.items()} == expected
 
 
 def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
@@ -1186,7 +1260,7 @@ def test_trial_code_calls_functions_replaced_at_run_time(monkeypatch):
     expected = {  # sweep + ablation + adaptive, one block each
         "transmit": 3 + 3 + 4, "bias_quantize": 4 + 8 + 4,
         "quantize_iq": 1, "calibrate_adc": 1 + 1 + 1,
-        "train_natural_elm": 1 + 4 + 1, "train_zf_direct": 1,
+        "train_natural_elm": 2 + 4 + 1,
         "train_borrowed_elm": 1, "detect_natural_elm": 2 + 4 + 3,
         "detect_borrowed_elm": 1, "detect_linear": 2, "zf_weights": 1,
         "mmse_weights": 1, "oselm_init": 1, "oselm_update": 1}
@@ -1234,8 +1308,8 @@ def test_payloads_are_scored_in_tiles_and_fits_see_whole_blocks(
     rows_arg = {  # the position of each call's row-indexed argument
         "bias_quantize": 0, "quantize_iq": 0, "detect_linear": 1,
         "detect_natural_elm": 1, "detect_borrowed_elm": 1,
-        "train_natural_elm": 1, "train_zf_direct": 1,
-        "train_borrowed_elm": 1, "oselm_init": 1, "oselm_update": 2}
+        "train_natural_elm": 1, "train_borrowed_elm": 1, "oselm_init": 1,
+        "oselm_update": 2}
     calls, key, step = [], [()], harness._Trial.step
 
     def recording(name, fn):
