@@ -1,5 +1,6 @@
-"""What a config value may be: one type rule and one table of ranges,
-so a bad value fails with a ValueError naming its key.  The JSON loader
+"""What a config value may be: one type rule, and a range that each
+numeric config field declares where it is defined, with `bounded`, so a
+bad value fails with a ValueError naming its key.  The JSON loader
 builds the whole config tree with `typed`; each config dataclass checks
 itself with `check`, which is also where a JSON null is judged: it is
 admitted exactly where the field type is `... | None`.  The upper bounds
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, field, fields, is_dataclass
 
 MIN_CALIBRATION = 100   # the fewest real samples an ADC calibrates on
 POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
@@ -17,41 +18,23 @@ POSITIVE = math.ulp(0.0)   # the least float > 0; messages print "> 0"
 # quantizer step or the calibration samples to 0
 FLOOR = 1e-6
 
-# JSON key -> closed (lower, upper); a list's elements share its key
-BOUNDS = {
-    **dict.fromkeys((  # counts
-        "channel.n_antennas", "channel.n_users", "channel.n_rays",
-        "training_len", "payload_len", "preamble_len", "borrowed_hidden",
-        "trials", "adaptive.init_len", "adaptive.frame_training_len",
-        "adaptive.frame_data_len", "adaptive.n_frames",
-        "adaptive.benchmark_training_len"), (1, math.inf)),
-    # "gamma" is the scalar form, one gamma for every receiver
-    **dict.fromkeys(("gamma", "gamma.natural-elm", "gamma.borrowed-elm",
-                     "gamma.trained-zf", "gamma.oselm"), (0.0, math.inf)),
-    "master_seed": (0, math.inf),
-    "snr_db_list": (-300.0, 300.0),
-    "adc.bits": (1, 53),   # the significand of a float64 sample
-    "adc.headroom": (FLOOR, 1e6),
-    "adc.bias_scale": (0.0, 1e6),
-    "channel.carrier_hz": (POSITIVE, 1e12),
-    "channel.symbol_duration_s": (POSITIVE, 1.0),
-    "channel.angular_spread_deg": (POSITIVE, 90.0),   # the ray-offset cutoff
-    "channel.velocity_mps": (0.0, 1e4),
-    # the visible region of the ULA
-    "channel.mean_aoa_range_rad": (-math.pi / 2, math.pi / 2),
-    **dict.fromkeys(("saleh.alpha_a", "saleh.eps_a", "saleh.eps_phi"),
-                    (FLOOR, 1e3)),   # Saleh's coefficients are O(1)
-    "saleh.alpha_phi": (0.0, 1e3),
-    "adaptive.forgetting": (POSITIVE, 1.0),
-}
+
+def bounded(default, lower, upper=math.inf):
+    """A config dataclass field whose values lie in the closed range
+    [lower, upper]: its own, or each of a list's or a dict's values."""
+    row = {"range": (lower, upper)}
+    if isinstance(default, dict):   # each instance gets its own copy
+        return field(default_factory=default.copy, metadata=row)
+    return field(default=default, metadata=row)
 
 
-def typed(value, default, key: str):
+def typed(value, default, key: str, row=None):
     """A JSON value checked against the type of the default it replaces,
-    then its key's BOUNDS row; an object is checked key by key against a
-    default dataclass, which it builds (a null is left to the dataclass's
-    own check), or dict; an empty key makes the child keys unprefixed; a
-    float must be a finite float64."""
+    then its closed range row (lower, upper), None for none; an object is
+    checked key by key against a default dict, whose values share its row,
+    or a default dataclass, which it builds and which checks its own fields
+    (a null too); a list's values share its row; an empty key makes the
+    child keys unprefixed; a float must be a finite float64."""
     if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key '{key}' must be an object, "
@@ -62,14 +45,14 @@ def typed(value, default, key: str):
         if unknown:
             raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
         value = {k: v if v is None and is_dataclass(default)
-                 else typed(v, template[k], prefix + k)
+                 else typed(v, template[k], prefix + k, row)
                  for k, v in value.items()}
         return type(default)(**value) if is_dataclass(default) else value
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key '{key}' must be a list, "
                              f"got {value!r}")
-        return tuple(typed(v, default[0], key) for v in value)
+        return tuple(typed(v, default[0], key, row) for v in value)
     kind = {int: numbers.Integral, float: numbers.Real}.get(type(default),
                                                           type(default))
     if not isinstance(value, kind) or (isinstance(value, bool)
@@ -78,7 +61,7 @@ def typed(value, default, key: str):
                          f"{type(default).__name__}, got {value!r}")
     if isinstance(default, float) and not abs(value) <= sys.float_info.max:
         raise ValueError(f"config key '{key}' must be finite, got {value!r}")
-    lo, hi = BOUNDS.get(key, (value, value))   # no row, no bound
+    lo, hi = row or (value, value)   # no row, no bound
     if not lo <= value <= hi:
         need = "> 0" if lo == POSITIVE else f">= {lo!r}"
         need += "" if hi == math.inf else f" and <= {hi!r}"
@@ -87,8 +70,9 @@ def typed(value, default, key: str):
 
 
 def check(obj, prefix: str = ""):
-    """`typed` on each field of config dataclass obj, keyed prefix + name;
-    `| None` admits None; a nested config checked itself."""
+    """`typed` on each field of config dataclass obj, keyed prefix + name,
+    under the field's range, storing what it returns (a list as a tuple, a
+    dict as a copy); `| None` admits None; a nested config checked itself."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         key = prefix + f.name
@@ -96,7 +80,8 @@ def check(obj, prefix: str = ""):
         if value is None and "None" in str(f.type):
             continue
         if not is_dataclass(default):
-            typed(value, default, key)
+            object.__setattr__(obj, f.name, typed(
+                value, default, key, f.metadata.get("range")))
         elif not isinstance(value, type(default)):
             raise ValueError(f"config key '{key}' must be a "
                              f"{type(default).__name__}, got {value!r}")

@@ -12,21 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check
+from .bounds import POSITIVE, bounded, check
 
 SPEED_OF_LIGHT = 299_792_458.0   # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    n_antennas: int = 64
-    n_users: int = 10
-    carrier_hz: float = 2e9
-    symbol_duration_s: float = 1e-6
-    angular_spread_deg: float = 10.0
-    n_rays: int = 5
-    velocity_mps: float = 0.0
-    mean_aoa_range_rad: tuple = (-np.pi / 2, np.pi / 2)
+    n_antennas: int = bounded(64, 1)
+    n_users: int = bounded(10, 1)
+    carrier_hz: float = bounded(2e9, POSITIVE, 1e12)
+    symbol_duration_s: float = bounded(1e-6, POSITIVE, 1.0)
+    # the ray offsets are truncated at +-90 degrees
+    angular_spread_deg: float = bounded(10.0, POSITIVE, 90.0)
+    n_rays: int = bounded(5, 1)
+    velocity_mps: float = bounded(0.0, 0.0, 1e4)
+    # the visible region of the ULA
+    mean_aoa_range_rad: tuple = bounded((-np.pi / 2, np.pi / 2),
+                                        -np.pi / 2, np.pi / 2)
 
     def __post_init__(self):
         check(self, "channel.")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import MIN_CALIBRATION, check
+from .bounds import FLOOR, MIN_CALIBRATION, bounded, check
 from .core import _real
 
 
@@ -72,12 +72,13 @@ QAM16 = Qam16()
 
 @dataclass(frozen=True)
 class SalehParams:
-    """AM-AM / AM-PM coefficients of the Saleh amplifier model."""
+    """AM-AM / AM-PM coefficients of the Saleh amplifier model, each
+    O(1); a subnormal one zeroes the calibration samples."""
 
-    alpha_a: float = 1.96
-    eps_a: float = 0.99
-    alpha_phi: float = 2.53
-    eps_phi: float = 2.82
+    alpha_a: float = bounded(1.96, FLOOR, 1e3)
+    eps_a: float = bounded(0.99, FLOOR, 1e3)
+    alpha_phi: float = bounded(2.53, 0.0, 1e3)
+    eps_phi: float = bounded(2.82, FLOOR, 1e3)
 
     def __post_init__(self):
         check(self, "saleh.")

@@ -7,21 +7,21 @@ JSON document is the same tree, written by `asdict` and loaded by one
 `bounds.typed` call.
 
 One trial engine walks three plans.  A plan is data: it lists an
-experiment's blocks in draw order, each ending in a count key, None for
-a fit.  The engine sends each block through the channel as (labels, y),
-calibrates the trial's converter on it if asked, then fits the named
-arms on it or scores them.  A fit sees its whole block; a score, a sum
-over rows, sees it in tiles of `_TILE` rows, each with its own
-converter outputs, so its working set does not grow with the block.
-Every arm is a `_RECEIVERS` row: the front end it reads (whether the
-converter's biases and quantizer apply), the `gamma.<key>` it fits
-under, and a readout (train, detect); a singular fit names the keys
-that set it.  Arms are grouped by front end, and each group shares one
-front-end call per block, made when an arm first reads it.  The sweep
-runs the configured receivers; the ablation reads the natural-ELM
-readout through four front ends, with and without the biases and the
-quantizer; the adaptive experiment runs its three variants through one.
-Counts are keyed (receiver, snr_db, frame), frame -1 if unframed.
+experiment's blocks in draw order, each ending in its key: a count's
+record key, or the config key that sized a fit.  The engine sends each
+block through the channel as (labels, y), calibrates the trial's converter
+on it if asked, then fits the named arms on it or scores them.  A fit sees
+its whole block; a score, a sum over rows, sees it in tiles of `_TILE`
+rows, each with its own converter outputs, so its working set does not
+grow with the block.  Every arm is a `_RECEIVERS` row: the front end it
+reads (whether the converter's biases and quantizer apply), the
+`gamma.<key>` it fits under, and a readout (train, detect); a singular fit
+names its arm and the keys that set it.  Arms are grouped by front end,
+and each group shares one front-end call per block, made when an arm first
+reads it.  The sweep runs the configured receivers; the ablation reads the
+natural-ELM readout through four front ends, with and without the biases
+and the quantizer; the adaptive experiment runs its three variants through
+one.  Counts are keyed (receiver, snr_db, frame), frame -1 if unframed.
 
 Runs are deterministic in (config, master_seed).  Each trial draws from
 five streams spawned from SeedSequence([master_seed, trial]): channel,
@@ -41,14 +41,14 @@ import numbers
 import os
 from collections import deque, namedtuple
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .bounds import MIN_CALIBRATION, check, typed
+from .bounds import FLOOR, MIN_CALIBRATION, POSITIVE, bounded, check, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
 from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
@@ -75,12 +75,12 @@ _TILE = 512     # rows per scoring tile: 2 MB of a 512-node hidden layer
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    init_len: int = 3000
-    frame_training_len: int = 300
-    frame_data_len: int = 1700
-    forgetting: float = 0.98
-    n_frames: int = 10
-    benchmark_training_len: int = 3000
+    init_len: int = bounded(3000, 1)
+    frame_training_len: int = bounded(300, 1)
+    frame_data_len: int = bounded(1700, 1)
+    forgetting: float = bounded(0.98, POSITIVE, 1.0)
+    n_frames: int = bounded(10, 1)
+    benchmark_training_len: int = bounded(3000, 1)
 
     def __post_init__(self):
         check(self, "adaptive.")
@@ -90,9 +90,9 @@ class AdaptiveConfig:
 class ConverterConfig:
     """The ADC array, the ELM's activation: bits (None: no quantizer), full
     scale headroom x the calibration RMS, biases within +-bias_scale."""
-    bits: int | None = 6
-    headroom: float = 3.0
-    bias_scale: float = 0.1
+    bits: int | None = bounded(6, 1, 53)   # the significand of a float64
+    headroom: float = bounded(3.0, FLOOR, 1e6)
+    bias_scale: float = bounded(0.1, 0.0, 1e6)
 
     def __post_init__(self):
         check(self, "adc.")
@@ -103,16 +103,17 @@ class ExperimentConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     saleh: SalehParams | None = field(default_factory=SalehParams)
     adc: ConverterConfig = field(default_factory=ConverterConfig)
-    snr_db_list: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
-    training_len: int = 3000
-    payload_len: int = 20000
-    preamble_len: int = 500
+    snr_db_list: tuple = bounded((0.0, 5.0, 10.0, 15.0, 20.0),
+                                 -300.0, 300.0)
+    training_len: int = bounded(3000, 1)
+    payload_len: int = bounded(20000, 1)
+    preamble_len: int = bounded(500, 1)
     receivers: tuple = ALL_RECEIVERS
-    gamma: dict = field(default_factory=lambda: dict.fromkeys(TRAINED, 1.0))
-    borrowed_hidden: int = 512
+    gamma: dict = bounded(dict.fromkeys(TRAINED, 1.0), 0.0)
+    borrowed_hidden: int = bounded(512, 1)
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
-    trials: int = 1
-    master_seed: int = 0
+    trials: int = bounded(1, 1)
+    master_seed: int = bounded(0, 0)
     per_user: bool = False
     snr_reference: str = "post-pa"
 
@@ -163,8 +164,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("adc") == "ideal":   # the unquantized converter
         data["adc"] = {"bits": None}
     if not isinstance(data.get("gamma", {}), dict):   # one gamma for all
-        data["gamma"] = dict.fromkeys(
-            TRAINED, float(typed(data["gamma"], 1.0, "gamma")))
+        gamma, = (f for f in fields(ExperimentConfig) if f.name == "gamma")
+        data["gamma"] = dict.fromkeys(TRAINED, float(typed(
+            data["gamma"], 1.0, "gamma", gamma.metadata["range"])))
     return typed(data, ExperimentConfig(), "")
 
 
@@ -289,9 +291,9 @@ class _Trial:
                calibrate_adc(real_stack(y), conv.bits, conv.headroom))
         return replace(adc, bias_re=b_re, bias_im=b_im)
 
-    def fit(self, arm, R, X):
-        """arm.train(self, R, X, gamma) under its row's gamma key; a
-        singular solve names the keys that set it."""
+    def fit(self, arm, R, X, sized):
+        """arm.train(self, R, X, gamma) under its row's gamma key, on the rows
+        config key `sized` sets; a singular solve names the keys behind it."""
         cfg, ch, key = self.cfg, self.cfg.channel, arm.gamma
         gamma = key and cfg.gamma_for(key)   # None for a genie combiner
         try:
@@ -306,31 +308,37 @@ class _Trial:
             fades = (f"'adaptive.forgetting' (now {cfg.adaptive.forgetting!r}"
                      "; each update fades the regularization) or "
                      if arm.name == "oselm" and "oselm" in self.models else "")
+            # not an update: fewer rows than regressors leave G singular
+            width = (cfg.borrowed_hidden if arm.name == "borrowed-elm"
+                     else 2 * ch.n_antennas)
+            short = ("" if fades or len(X) >= width else f"'{sized}' (now "
+                     f"{len(X)}; the readout has {width} regressors) or ")
             # an ideal converter (bits None) has no step to lower
             step, what = (("", "") if cfg.adc.bits is None else (
                 f"'adc.headroom' (now {cfg.adc.headroom!r}) or ", "step or "))
             raise ValueError(
-                f"singular normal equations in the {key} readout: raise "
-                f"config key {fades}'gamma.{key}' (now {gamma!r}), or lower "
-                f"{step}'adc.bias_scale' (now {cfg.adc.bias_scale!r}) if the "
-                f"converter's {what}bias dwarfs the signal") from exc
+                f"singular normal equations in the {arm.name} arm: raise "
+                f"config key {fades}{short}'gamma.{key}' (now {gamma!r}), or "
+                f"lower {step}'adc.bias_scale' (now {cfg.adc.bias_scale!r}) "
+                f"if the converter's {what}bias dwarfs the signal") from exc
 
     def step(self, block, calibrate, names, key):
         """With calibrate, first calibrate the converter on the block.  Then
-        fit each named arm (all if names is None) on it, key None, or score
-        it: its counts go under (name, *key) = (receiver, snr_db, frame),
-        or (name/user<k>, *key).  A front end's output is computed when an
-        arm of its group first reads it, R()."""
+        fit each named arm (all if names is None) on it, key the config key
+        that sized it, or score it: its counts go under (name, *key) =
+        (receiver, snr_db, frame), or (name/user<k>, *key).  A front end's
+        output is computed when an arm of its group first reads it, R()."""
         labels, y = block
         if calibrate:
             self.adc = self.calibrate(y)
-        X = QAM16.symbols(labels) if key is None else None   # the targets
+        # the targets, for a fit
+        X = QAM16.symbols(labels) if isinstance(key, str) else None
         for front, group in self.groups.items():
             # rebinding R frees the last group's output: one alive at a time
             R = cache(partial(front, y, self.adc))
             for arm in (a for a in group if names is None or a.name in names):
-                if key is None:
-                    self.models[arm.name] = self.fit(arm, R, X)
+                if X is not None:
+                    self.models[arm.name] = self.fit(arm, R, X, key)
                     continue
                 errs = arm.detect(self.models[arm.name], R()) != labels
                 per_user = self.cfg.per_user
@@ -345,14 +353,14 @@ def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
     """Walk the plan with the arms named in arms: each block (n, snr_db,
     m, calibrate, names, key) sends n vectors at snr_db through
     realize(channel, m), then steps through the arms with (calibrate,
-    names, key): a fit once (key None), a count once per tile of _TILE
-    rows."""
+    names, key): a fit once (key the config key that sized it), a count
+    once per tile of _TILE rows."""
     with _Trial(cfg, trial, [n for n, *_ in plan], arms) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
             block = t.send(snr_db, m)
-            for tile in ([block] if step[-1] is None else
+            for tile in ([block] if isinstance(step[-1], str) else
                          (tuple(a[s:s + _TILE] for a in block)
                           for s in range(0, len(block[0]), _TILE))):
                 t.step(tile, *step)
@@ -418,8 +426,8 @@ def _static_plan(cfg: ExperimentConfig) -> list:
     n = cfg.payload_len
     preamble = 0 if cfg.adc.bits is None else cfg.preamble_len
     return [block for snr_db in cfg.snr_db_list for block in [
-        (preamble, snr_db, 0, True, (), None),
-        (cfg.training_len, snr_db, 0, False, None, None),
+        (preamble, snr_db, 0, True, (), "preamble_len"),
+        (cfg.training_len, snr_db, 0, False, None, "training_len"),
         *((min(_CHUNK, n - done), snr_db, 0, False, None, (snr_db, -1))
           for done in range(0, n, _CHUNK))]]
 
@@ -437,12 +445,14 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
     H is sampled at each frame's first symbol index and held for the
     frame (block fading), which keeps the per-frame benchmark well defined."""
     ad, snr_db = cfg.adaptive, cfg.snr_db_list[0]
-    plan = [(ad.init_len, snr_db, 0, True, ("oselm", "frozen"), None)]
+    plan = [(ad.init_len, snr_db, 0, True, ("oselm", "frozen"),
+             "adaptive.init_len")]
     for f in range(ad.n_frames):
         m = ad.init_len + f * (ad.frame_training_len + ad.frame_data_len)
-        plan += [(ad.frame_training_len, snr_db, m, False, ("oselm",), None),
+        plan += [(ad.frame_training_len, snr_db, m, False, ("oselm",),
+                  "adaptive.frame_training_len"),
                  (ad.benchmark_training_len, snr_db, m, False,
-                  ("retrain-benchmark",), None),
+                  ("retrain-benchmark",), "adaptive.benchmark_training_len"),
                  (ad.frame_data_len, snr_db, m, False, None, (snr_db, f))]
     return plan
 

@@ -1,10 +1,11 @@
 """Tests for the transmit chain and the impaired receive front end:
 16-QAM mapping, the Saleh amplifier, AWGN, and the biased mid-rise ADC."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from elm_mimo.bounds import BOUNDS
 from elm_mimo.core import real_stack
 from elm_mimo import harness
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
@@ -480,8 +481,7 @@ def test_bias_quantize_matches_reference(case):
 
 
 _salehs = st.builds(SalehParams, **{
-    name: st.floats(*BOUNDS[f"saleh.{name}"])
-    for name in ("alpha_a", "eps_a", "alpha_phi", "eps_phi")})
+    f.name: st.floats(*f.metadata["range"]) for f in fields(SalehParams)})
 
 
 @settings(max_examples=200, deadline=None)

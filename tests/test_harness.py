@@ -19,7 +19,6 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 from elm_mimo import cli, harness
-from elm_mimo.bounds import BOUNDS
 from elm_mimo.channel import ChannelConfig
 from elm_mimo.core import real_stack
 from elm_mimo.frontend import (QAM16, AdcConfig, SalehParams, noise_planes,
@@ -71,6 +70,24 @@ def test_config_rejects_bad_gamma_built_in_python():
     cfg = replace(desk_config(), gamma={"oselm": 1e-3})
     assert cfg.gamma_for("oselm") == 1e-3
     assert cfg.gamma_for("natural-elm") == 1.0
+
+
+def test_a_config_built_in_python_holds_what_the_loader_gives():
+    # a list where the schema holds a tuple is stored as the loader
+    # stores it, so the config equals its own round trip
+    cfg = replace(desk_config(), snr_db_list=[10.0])
+    assert cfg.snr_db_list == (10.0,)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert (ChannelConfig(mean_aoa_range_rad=[0.0, 1.0])
+            == ChannelConfig(mean_aoa_range_rad=(0.0, 1.0)))
+
+
+def test_a_config_holds_its_own_copy_of_gamma():
+    # the caller's dict, changed after the range check, changes nothing
+    gamma = {"oselm": 1e-3}
+    cfg = replace(desk_config(), gamma=gamma)
+    gamma["oselm"] = -1.0
+    assert cfg.gamma_for("oselm") == 1e-3
 
 
 def test_config_round_trip():
@@ -448,6 +465,72 @@ def test_singular_readout_names_the_converter_keys(tmp_path, capsys,
     # no update has run, so the forgetting factor is not to blame
     assert "adaptive.forgetting" not in err
     assert not out.exists()
+
+
+# gamma = 0 on a 16-antenna, 2-user channel: a fit on fewer rows than its
+# readout's regressors (2N = 32, or borrowed_hidden) is singular
+_UNREGULARIZED = {"channel": {"n_antennas": 16, "n_users": 2}, "gamma": 0.0,
+                  "snr_db_list": [10.0], "payload_len": 1000,
+                  "preamble_len": 200}
+_FRAME = {"frame_training_len": 10, "frame_data_len": 50, "n_frames": 1}
+
+
+@pytest.mark.parametrize("run, data, named", [
+    (run_ser_sweep, {"adc": "ideal", "training_len": 20,
+                     "receivers": ["natural-elm"]}, "'training_len' (now 20"),
+    (run_ser_sweep, {"training_len": 40, "borrowed_hidden": 64,
+                     "receivers": ["borrowed-elm"]}, "'training_len' (now 40"),
+    (run_bias_ablation, {"training_len": 20}, "'training_len' (now 20"),
+    (run_adaptive, {"adaptive": {**_FRAME, "init_len": 20}},
+     "'adaptive.init_len' (now 20"),
+    (run_adaptive, {"adaptive": {**_FRAME, "init_len": 300,
+                                 "benchmark_training_len": 20}},
+     "'adaptive.benchmark_training_len' (now 20")])
+def test_singular_fit_on_a_short_block_names_the_key_that_sized_it(
+        run, data, named):
+    with pytest.raises(ValueError, match="singular") as exc:
+        run(config_from_dict({**_UNREGULARIZED, **data}))
+    assert named in str(exc.value)
+
+
+def test_singular_fit_names_no_block_key_when_rows_are_no_remedy():
+    # 300 rows against 32 regressors; then an OS-ELM update on 10 rows,
+    # which starts from a model and fails because the model faded
+    with pytest.raises(ValueError, match="singular") as exc:
+        run_ser_sweep(_small_config(adc=ConverterConfig(headroom=1e6,
+                                                        bias_scale=1e6)))
+    assert "training_len" not in str(exc.value)
+    cfg = _fading_config()
+    cfg = replace(cfg, adaptive=replace(cfg.adaptive, forgetting=1e-3,
+                                        frame_training_len=10))
+    with pytest.raises(ValueError, match="adaptive.forgetting") as exc:
+        run_adaptive(cfg)
+    assert "_len" not in str(exc.value)
+
+
+def test_cli_names_the_key_that_sized_a_short_block(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg_path.write_text(json.dumps({**_UNREGULARIZED, "adc": "ideal",
+                                    "training_len": 20,
+                                    "receivers": ["natural-elm"]}))
+    assert cli.main(["ser-sweep", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert "'training_len' (now 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run, data, arm, readout", [
+    (run_bias_ablation, {"training_len": 20}, "trained-zf-unquantized",
+     "natural-elm"),
+    (run_adaptive, {"adaptive": {**_FRAME, "init_len": 300,
+                                 "benchmark_training_len": 20}},
+     "retrain-benchmark", "oselm")])
+def test_singular_fit_names_the_failing_arm(run, data, arm, readout):
+    # the arm fits under another arm's gamma key, which alone would point
+    # at that other arm
+    with pytest.raises(ValueError, match=f"in the {arm} arm") as exc:
+        run(config_from_dict({**_UNREGULARIZED, **data}))
+    assert f"'gamma.{readout}'" in str(exc.value)
 
 
 def test_rank_deficient_genie_channel_names_the_channel_keys(tmp_path,
@@ -1150,14 +1233,6 @@ def _numeric_leaf_keys(d, prefix=""):
     return keys
 
 
-def test_bounds_rows_are_the_numeric_config_keys():
-    # a misspelt row would leave its key unbounded and raise nothing;
-    # desk_config() sets every gamma.<receiver>, and a config may give
-    # one scalar "gamma" for all of them instead
-    assert set(BOUNDS) == (_numeric_leaf_keys(config_to_dict(desk_config()))
-                           | {"gamma"})
-
-
 def _leaf_keys(d, prefix=""):
     """The dotted keys of d's leaves."""
     keys = set()
@@ -1167,14 +1242,17 @@ def _leaf_keys(d, prefix=""):
     return keys
 
 
-def _field_paths(cls, prefix=""):
+def _field_paths(cls, prefix="", ranged=False):
     """The dotted paths of config dataclass cls's fields, a nested
-    config's fields and the default dict's keys under the field's own."""
+    config's fields and the default dict's keys under the field's own;
+    with ranged, only those of the fields that declare a range."""
     paths = set()
     for f in fields(cls):
         default = f.default_factory() if f.default is MISSING else f.default
         if is_dataclass(default):
-            paths |= _field_paths(type(default), f"{prefix}{f.name}.")
+            paths |= _field_paths(type(default), f"{prefix}{f.name}.", ranged)
+        elif ranged and "range" not in f.metadata:
+            continue
         elif isinstance(default, dict):
             paths |= {f"{prefix}{f.name}.{k}" for k in default}
         else:
@@ -1187,6 +1265,14 @@ def test_config_keys_are_the_dataclass_field_paths():
     # on the way to disk would show here
     assert (_leaf_keys(config_to_dict(desk_config()))
             == _field_paths(ExperimentConfig))
+
+
+def test_every_numeric_config_key_is_a_field_with_a_range():
+    # a numeric field declared without bounds.bounded would take any value
+    # of its type and raise nothing; desk_config() sets every
+    # gamma.<receiver>, and they share the gamma field's range
+    assert (_numeric_leaf_keys(config_to_dict(desk_config()))
+            == _field_paths(ExperimentConfig, ranged=True))
 
 
 def test_config_root_must_be_object():
@@ -1314,7 +1400,8 @@ def test_payloads_are_scored_in_tiles_and_fits_see_whole_blocks(
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((key[0] is None, name, len(args[rows_arg[name]])))
+            calls.append((isinstance(key[0], str), name,
+                          len(args[rows_arg[name]])))
             return fn(*args, **kwargs)
         return wrapper
 
