@@ -3,8 +3,10 @@ numeric config field declares where it is defined, with `bounded`, so a
 bad value fails with a ValueError naming its key.  The JSON loader
 builds the whole config tree with `typed`; each config dataclass checks
 itself with `check`, which is also where a JSON null is judged: it is
-admitted exactly where the field type is `... | None`.  The upper bounds
-keep every derived quantity finite."""
+admitted exactly where the field type is `... | None`.  A dict is
+completed from its default, so a key it leaves out keeps its default
+value and every config holds all of a dict field's keys.  The upper
+bounds keep every derived quantity finite."""
 from __future__ import annotations
 
 import math
@@ -31,10 +33,11 @@ def bounded(default, lower, upper=math.inf):
 def typed(value, default, key: str, row=None):
     """A JSON value checked against the type of the default it replaces,
     then its closed range row (lower, upper), None for none; an object is
-    checked key by key against a default dict, whose values share its row,
-    or a default dataclass, which it builds and which checks its own fields
-    (a null too); a list's values share its row; an empty key makes the
-    child keys unprefixed; a float must be a finite float64."""
+    checked key by key against a default dict, whose values share its row
+    and fill in the keys it leaves out, or a default dataclass, which it
+    builds and which checks its own fields (a null too); a list's values
+    share its row; an empty key makes the child keys unprefixed; a float
+    must be a finite float64."""
     if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key '{key}' must be an object, "
@@ -44,6 +47,8 @@ def typed(value, default, key: str, row=None):
         unknown = set(value) - set(template)
         if unknown:
             raise ValueError(f"unknown config key '{prefix}{min(unknown)}'")
+        if isinstance(default, dict):   # a key left out keeps its default
+            value = {**default, **value}
         value = {k: v if v is None and is_dataclass(default)
                  else typed(v, template[k], prefix + k, row)
                  for k, v in value.items()}

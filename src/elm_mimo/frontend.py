@@ -125,6 +125,11 @@ def transmit(H: np.ndarray, x: np.ndarray, sigma2: float,
     return y
 
 
+# the bit widths a converter may have: past the 53-bit significand of a
+# float64 sample, finer levels cannot be told apart
+BITS = (1, 53)
+
+
 @dataclass(frozen=True)
 class AdcConfig:
     """Mid-rise ADC with clipping, plus frozen per-antenna bias vectors.
@@ -141,10 +146,8 @@ class AdcConfig:
     bias_im: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        if self.bits is not None and not 1 <= self.bits <= 53:
-            # past the 53-bit significand of a float64 sample, finer
-            # levels cannot be told apart
-            raise ValueError("bits must be in [1, 53]")
+        if self.bits is not None and not BITS[0] <= self.bits <= BITS[1]:
+            raise ValueError(f"bits must be in {list(BITS)}")
         if not (self.full_scale > 0 and (self.bits is None
                                          or np.isfinite(self.full_scale))):
             raise ValueError("full_scale must be > 0, and finite with bits")

@@ -51,7 +51,7 @@ import scipy
 from .bounds import FLOOR, MIN_CALIBRATION, POSITIVE, bounded, check, typed
 from .channel import ChannelConfig, draw_process, realize
 from .core import real_stack
-from .frontend import (QAM16, AdcConfig, SalehParams, bias_quantize,
+from .frontend import (BITS, QAM16, AdcConfig, SalehParams, bias_quantize,
                        calibrate_adc, ideal_adc, noise_planes, pa_distort,
                        quantize_iq, transmit)
 from .receivers import (detect_linear, detect_natural_elm,
@@ -90,7 +90,7 @@ class AdaptiveConfig:
 class ConverterConfig:
     """The ADC array, the ELM's activation: bits (None: no quantizer), full
     scale headroom x the calibration RMS, biases within +-bias_scale."""
-    bits: int | None = bounded(6, 1, 53)   # the significand of a float64
+    bits: int | None = bounded(6, *BITS)
     headroom: float = bounded(3.0, FLOOR, 1e6)
     bias_scale: float = bounded(0.1, 0.0, 1e6)
 
@@ -136,9 +136,6 @@ class ExperimentConfig:
                 raise ValueError(f"config key '{key}' must make 2 * channel."
                                  f"n_antennas * {key} >= {MIN_CALIBRATION}")
 
-    def gamma_for(self, receiver: str) -> float:
-        return self.gamma.get(receiver, 1.0)
-
 
 def desk_config() -> ExperimentConfig:
     """CI-scale default: N = 64 runs in seconds per SNR point."""
@@ -170,26 +167,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return typed(data, ExperimentConfig(), "")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = asdict(cfg, dict_factory=lambda items: {
-        k: list(v) if isinstance(v, tuple) else v for k, v in items})
-    if cfg.saleh is None:
-        data["saleh"] = "bypass"
-    return data
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"malformed config file {path}: {exc}") from exc
     return config_from_dict(data)
 
 
 def save_config(cfg: ExperimentConfig, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
+        json.dump(asdict(cfg), fh, indent=2)   # a tuple as a list
         fh.write("\n")
 
 
@@ -295,7 +284,7 @@ class _Trial:
         """arm.train(self, R, X, gamma) under its row's gamma key, on the rows
         config key `sized` sets; a singular solve names the keys behind it."""
         cfg, ch, key = self.cfg, self.cfg.channel, arm.gamma
-        gamma = key and cfg.gamma_for(key)   # None for a genie combiner
+        gamma = key and cfg.gamma[key]   # None for a genie combiner
         try:
             return arm.train(self, R, X, gamma)
         except np.linalg.LinAlgError as exc:   # a singular G, or H^H H
