@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="override master_seed")
         sp.add_argument("--out", required=True, help="output CSV path")
         sp.add_argument("--parallel", type=int, default=1,
-                        help="number of worker processes for trials")
+                        help="number of threads that run trials")
         if name == "ser-sweep":   # the other experiments run fixed arms
             sp.add_argument("--receivers",
                             help="comma-separated receiver subset")

@@ -54,7 +54,8 @@ def ridge_solve(Z: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     Z, T = _real(Z, "Z"), _real(T, "T")
     if Z.ndim != 2:
         raise ValueError("Z must be a 2-D matrix")
-    return cho_solve(factor(gram(Z, gamma), gamma), Z.T @ T)
+    # Z^T T as (T^T Z)^T: the same bits, and no transposed operand for BLAS
+    return cho_solve(factor(gram(Z, gamma), gamma), (T.T @ Z).T)
 
 
 def real_composite(H: np.ndarray) -> np.ndarray:
@@ -103,14 +104,13 @@ class RlsState:
     def fold(self) -> RlsState:
         """Move the queued samples into G and C now; returns self."""
         if self._queue:
-            R = np.array([r for r, _ in self._queue])
-            T = np.array([t for _, t in self._queue])
+            R, T = (np.array(a) for a in zip(*self._queue))
             n = len(R)
             wR = R * (self.lam ** np.arange(n - 1, -1, -1.0))[:, None]
             G = self.lam ** n * self._G
             G += wR.T @ R
             C = self.lam ** n * self._C
-            C += wR.T @ T
+            C += (T.T @ wR).T
             self._G, self._C, self._queue = G, C, ()
         return self
 
@@ -142,7 +142,7 @@ def rls_init(R0: np.ndarray, T0: np.ndarray, gamma: float,
     R0, T0 = _real(R0, "R0"), _real(T0, "T0")
     if T0.ndim == 1:
         T0 = T0[:, None]
-    return RlsState(G=gram(R0, gamma), C=R0.T @ T0, lam=lam)
+    return RlsState(G=gram(R0, gamma), C=(T0.T @ R0).T, lam=lam)
 
 
 def rls_step(state: RlsState, r: np.ndarray, t: np.ndarray) -> RlsState:

@@ -29,7 +29,7 @@ noise, symbols, biases and borrowed-ELM weights; the channel process is
 drawn when the trial opens.  The draw order within each stream is part
 of the CSV contract: the biases at each calibration, and the blocks of
 the plan (`_static_plan`, `_tracking_plan`).  Symbols and noise are
-drawn up to two blocks ahead, in that order, on a thread of their own,
+drawn up to two blocks ahead, in that order, on the run's draw thread,
 so the bytes do not depend on its timing.  Trials merge by summation, so
 the outcome does not depend on the degree of parallelism.
 """
@@ -40,7 +40,8 @@ import json
 import numbers
 import os
 from collections import deque, namedtuple
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import AbstractContextManager, suppress
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
 from pathlib import Path
@@ -168,18 +169,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"malformed config file {path}: {exc}") from exc
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
     return config_from_dict(data)
 
 
 def save_config(cfg: ExperimentConfig, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(asdict(cfg), fh, indent=2)   # a tuple as a list
-        fh.write("\n")
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n",
+                          encoding="utf-8", newline="\n")   # tuples as lists
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +213,13 @@ def write_csv(records, path):
 # Trials: one engine walks a plan of blocks
 
 
-class _Trial:
+class _Trial(AbstractContextManager):
     """One trial's channel process, RNG streams, current channel matrix,
     SNR and converter, the named arms grouped by the front end they read
-    (in name order), their last models and counts per record key.  Its
-    `with` block runs on one BLAS thread and a draw thread that draws the
-    plan's blocks ahead."""
+    (in name order), their last models, counts per record key and the plan's
+    next two blocks, queued on drawer; leaving `with` cancels those left."""
 
-    def __init__(self, cfg: ExperimentConfig, trial: int, plan, names=()):
+    def __init__(self, cfg, trial: int, plan, names=(), drawer=None):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.counts, self.groups, self.models = cfg, {}, {}, {}
         for name in names:
@@ -235,24 +233,12 @@ class _Trial:
         self.power = self.signal if cfg.snr_reference == "post-pa" else 1.0
         (self.noise, self.symbols, self.biases,
          self.borrowed_init) = (np.random.default_rng(k) for k in kids[1:])
-        self.plan, self.ahead = deque(plan), deque()
-
-    def __enter__(self):
-        """One thread per bundled OpenBLAS (a second only spin-waits)."""
-        self.blas = [(getattr(lib, put), getattr(lib, get)())
-                     for lib in _loaded_openblas()
-                     for get, put in _OPENBLAS_THREADS
-                     if hasattr(lib, get) and hasattr(lib, put)]
-        for put, _ in self.blas:
-            put(1)
-        self.drawer = ThreadPoolExecutor(1)
+        self.plan, self.ahead, self.drawer = deque(plan), deque(), drawer
         self._draw_ahead()
-        return self
 
     def __exit__(self, *exc):
-        self.drawer.shutdown(cancel_futures=True)
-        for put, n in self.blas:
-            put(n)
+        for _, block in self.ahead:
+            block.cancel()
 
     def _draw_ahead(self):
         """Keep the plan's next two blocks queued on the draw thread."""
@@ -338,13 +324,12 @@ class _Trial:
                     self.counts[ukey] = (sym + e.size, err + int(e.sum()))
 
 
-def _trial(arms, plan, cfg: ExperimentConfig, trial: int) -> dict:
-    """Walk the plan with the arms named in arms: each block (n, snr_db,
-    m, calibrate, names, key) sends n vectors at snr_db through
-    realize(channel, m), then steps through the arms with (calibrate,
-    names, key): a fit once (key the config key that sized it), a count
-    once per tile of _TILE rows."""
-    with _Trial(cfg, trial, [n for n, *_ in plan], arms) as t:
+def _trial(arms, plan, cfg: ExperimentConfig, trial: int, drawer) -> dict:
+    """Walk the plan, drawn on drawer, with the arms named in arms: each
+    block (n, snr_db, m, calibrate, names, key) sends n vectors at snr_db
+    through realize(channel, m), then steps through the arms with
+    (calibrate, names, key): a fit once, a count once per _TILE rows."""
+    with _Trial(cfg, trial, [n for n, *_ in plan], arms, drawer) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
             # freed sooner gave its pages back to the OS, to fault them again
@@ -447,22 +432,18 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Runners: parallel trial execution + order-independent merge
+# Runners: trials on threads of this process + order-independent merge
 
 
 def _cpu_count() -> int:
     """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API outside Linux
-        return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)   # on Linux only
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# thread-count (getter, setter): numpy's OpenBLAS (64-bit ints), scipy's
-_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_",
-                      "scipy_openblas_set_num_threads64_"),
-                     ("scipy_openblas_get_num_threads",
-                      "scipy_openblas_set_num_threads"))
+# thread-count getters, each with a _set_ twin: numpy's OpenBLAS, scipy's
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads")
 
 
 @cache
@@ -471,29 +452,48 @@ def _loaded_openblas() -> tuple:
     loaded into this process, found once; none under MKL or a system BLAS."""
     libs = []
     for package in (np, scipy):
-        libdir = (Path(package.__file__).parent.parent
-                  / f"{package.__name__}.libs")
+        libdir = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
         for path in sorted(libdir.glob("*openblas*.so*")):
-            try:
+            with suppress(OSError):   # bundled but not loaded
                 libs.append(ctypes.CDLL(
                     str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
-            except OSError:  # bundled but not loaded
-                continue
     return tuple(libs)
 
 
 def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
-    """Run every trial and merge their counts into sorted records."""
+    """Run every trial, worker(cfg, trial, drawer), and merge their counts
+    into sorted records: this thread and up to n_jobs - 1 more, one per
+    trial and per core, take the next trial until one fails, all on one
+    draw thread and one thread per bundled OpenBLAS (a second spin-waits)."""
     if (isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral)
             or n_jobs < 1):
         raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     workers = min(n_jobs, cfg.trials, _cpu_count())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, [cfg] * cfg.trials,
-                                    range(cfg.trials)))
-    else:
-        results = [worker(cfg, t) for t in range(cfg.trials)]
+    trials, results, failed = iter(range(cfg.trials)), [None] * cfg.trials, []
+
+    def run():   # the next trial, until none is left or one has failed
+        while not failed and (t := next(trials, None)) is not None:
+            try:
+                results[t] = worker(cfg, t, drawer)
+            except BaseException as exc:
+                failed.append(exc)
+
+    blas = [(getattr(lib, get.replace("_get_", "_set_")), getattr(lib, get)())
+            for lib in _loaded_openblas() for get in _OPENBLAS_GETTERS
+            if hasattr(lib, get)]
+    try:
+        for put, _ in blas:
+            put(1)
+        with ThreadPoolExecutor(1) as drawer, \
+                ThreadPoolExecutor(workers) as runners:
+            for _ in range(workers - 1):   # and this thread is the last
+                runners.submit(run)
+            run()
+    finally:
+        for put, n in blas:
+            put(n)
+    if failed:
+        raise failed[0]
     merged = {}
     for counts in results:
         for key, (sym, err) in counts.items():
@@ -515,8 +515,8 @@ def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     The ablation always quantizes: an ideal converter becomes 6 bits."""
     if cfg.adc.bits is None:
         cfg = replace(cfg, adc=replace(cfg.adc, bits=6))
-    worker = partial(_trial, ABLATION_SYSTEMS, _static_plan(cfg))
-    return _run_trials("bias-ablation", worker, cfg, n_jobs)
+    return _run_trials("bias-ablation", partial(
+        _trial, ABLATION_SYSTEMS, _static_plan(cfg)), cfg, n_jobs)
 
 
 def run_adaptive(cfg: ExperimentConfig, n_jobs: int = 1):

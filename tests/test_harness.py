@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -229,11 +230,13 @@ def test_determinism_identical_runs(tmp_path):
 
 def test_determinism_independent_of_parallelism(tmp_path):
     cfg = _small_config(trials=3, payload_len=400)
-    serial = tmp_path / "serial.csv"
-    par = tmp_path / "par.csv"
-    write_csv(run_ser_sweep(cfg, n_jobs=1), serial)
-    write_csv(run_ser_sweep(cfg, n_jobs=3), par)
-    assert serial.read_bytes() == par.read_bytes()
+    for run in (run_ser_sweep, run_bias_ablation):
+        csv = []
+        for n_jobs in (1, 2, 3):
+            path = tmp_path / f"{n_jobs}.csv"
+            write_csv(run(cfg, n_jobs=n_jobs), path)
+            csv.append(path.read_bytes())
+        assert csv[1:] == csv[:1] * 2, run.__name__
 
 
 def test_different_seed_changes_output():
@@ -329,7 +332,9 @@ def test_trials_spread_the_pooled_ser_wider_than_binomial():
                                 receivers=("trained-zf", "zf")),
                   gamma={"trained-zf": 1e-3})
     plan = harness._static_plan(cfg)
-    runs = [harness._trial(cfg.receivers, plan, cfg, t) for t in range(8)]
+    with ThreadPoolExecutor(1) as drawer:
+        runs = [harness._trial(cfg.receivers, plan, cfg, t, drawer)
+                for t in range(8)]
     for name in cfg.receivers:
         sym, err = np.array([r[name, 20.0, -1] for r in runs]).T
         p = err.sum() / sym.sum()
@@ -477,7 +482,8 @@ def test_adaptive_lambda_one_static_converges_to_batch():
 
 def test_adaptive_parallel_determinism():
     cfg = _adaptive_config(trials=3)
-    assert run_adaptive(cfg, n_jobs=1) == run_adaptive(cfg, n_jobs=3)
+    serial = run_adaptive(cfg, n_jobs=1)
+    assert [run_adaptive(cfg, n_jobs=j) for j in (2, 3)] == [serial] * 2
 
 
 def _fading_config():
@@ -653,28 +659,20 @@ def _blas_threads():
     return counts
 
 
-def _trial_blas_threads(cfg, trial):
-    """A trial that reports its process and the BLAS thread counts it
-    runs under, as a record key."""
-    with harness._Trial(cfg, trial, []):
-        return {(os.getpid(), tuple(_blas_threads()), -1): (1, 0)}
+def _runner():
+    """This thread, as (process id, thread id)."""
+    return os.getpid(), threading.get_ident()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and
-    runs the first trial in this process."""
+def _trial_blas_threads(cfg, trial, drawer):
+    """A trial that reports its runner and the BLAS thread counts it runs
+    under, as a record key."""
+    with harness._Trial(cfg, trial, [], drawer=drawer):
+        return {(_runner(), tuple(_blas_threads()), -1): (1, 0)}
 
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-    def map(self, worker, cfgs, trials):
-        return [worker(cfgs[0], trials[0])]
+class _Stop(Exception):
+    pass
 
 
 @pytest.mark.parametrize("n_jobs, trials, nproc, shape", [
@@ -689,18 +687,23 @@ class _RecordingPool:
 ])
 def test_pool_shape_caps_workers_and_pins_one_blas_thread(
         monkeypatch, n_jobs, trials, nproc, shape):
-    # shape = (workers, BLAS threads per trial): _run_trials starts at
-    # most n_jobs workers, one per trial and per core, and a _Trial runs
-    # on one BLAS thread whatever the worker count
-    sizes = []
+    # shape = (runners, BLAS threads per runner): _run_trials runs trials
+    # on at most n_jobs threads, one per trial and per core, each on one
+    # BLAS thread whatever their number.  No trial runs: each runner's
+    # first one meets the others, records its thread and stops the run.
+    seen, meet = set(), threading.Barrier(shape[0], timeout=10)
+
+    def stop(cfg, trial, drawer):
+        meet.wait()   # more or fewer runners than expected break it
+        seen.add((_runner(), max(_blas_threads(), default=1)))
+        raise _Stop
+
     monkeypatch.setattr(harness, "_cpu_count", lambda: nproc)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers))
-    recs = harness._run_trials("blas", _trial_blas_threads,
-                               _small_config(trials=trials), n_jobs)
-    seen = {n for rec in recs for n in rec.snr_db}
-    assert (max(sizes, default=1), max(seen, default=1)) == shape
-    assert len(sizes) == (shape[0] > 1)
+    with pytest.raises(_Stop):
+        harness._run_trials("cap", stop, _small_config(trials=trials), n_jobs)
+    assert {n for _, n in seen} == {shape[1]}
+    assert len(seen) == shape[0]
+    assert {pid for (pid, _), _ in seen} == {os.getpid()}
 
 
 def _needs_openblas():
@@ -708,27 +711,38 @@ def _needs_openblas():
         pytest.skip("numpy and scipy do not use their bundled OpenBLAS")
 
 
-def _threads_in_trials(n_jobs):
-    """{(pid, BLAS thread counts)} seen inside the trials of one run."""
-    recs = harness._run_trials("blas", _trial_blas_threads,
-                               _small_config(trials=4), n_jobs)
+def _threads_in_trials(worker, n_jobs):
+    """{(runner, BLAS thread counts)} seen inside the trials of one run."""
+    recs = harness._run_trials("blas", worker, _small_config(trials=4),
+                               n_jobs)
     return {(r.receiver, r.snr_db) for r in recs}
 
 
 def test_serial_trials_run_on_one_blas_thread():
     _needs_openblas()
     before = _blas_threads()
-    assert _threads_in_trials(1) == {(os.getpid(), (1,) * len(before))}
+    assert _threads_in_trials(_trial_blas_threads, 1) == {
+        (_runner(), (1,) * len(before))}
     assert _blas_threads() == before
 
 
-def test_pool_workers_get_their_share_of_blas_threads():
+def test_pool_workers_get_their_share_of_blas_threads(monkeypatch):
+    # an n_jobs=2 run runs its trials on two threads of this process,
+    # each on one BLAS thread
     _needs_openblas()
     before = _blas_threads()
-    seen = _threads_in_trials(2)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    meet = threading.Barrier(2, timeout=10)
+
+    def worker(cfg, trial, drawer):
+        if trial < 2:   # both runners hold a trial at once
+            meet.wait()
+        return _trial_blas_threads(cfg, trial, drawer)
+
+    seen = _threads_in_trials(worker, 2)
     assert {counts for _, counts in seen} == {(1,) * len(before)}
-    if harness._cpu_count() > 1:
-        assert os.getpid() not in {pid for pid, _ in seen}
+    assert len({runner for runner, _ in seen}) == 2
+    assert {pid for (pid, _), _ in seen} == {os.getpid()}
     assert _blas_threads() == before
 
 
@@ -774,8 +788,57 @@ def test_runs_give_the_caller_its_blas_threads_back(caller_blas_threads,
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_failed_trial_gives_the_caller_its_blas_threads_back(
         caller_blas_threads, n_jobs):
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="adaptive.forgetting"):
         run_adaptive(_fading_config(), n_jobs=n_jobs)
+    assert _blas_threads() == caller_blas_threads
+    assert threading.active_count() == threads
+
+
+def test_every_trial_runs_once_on_more_runners_than_cores(monkeypatch):
+    # runners share one iterator of trial indices: none is lost or taken
+    # twice, even with more runners than cores trading turns often
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 8)
+    ran = []
+
+    def worker(cfg, trial, drawer):
+        ran.append(trial)
+        return {("t", float(trial), -1): (1, 0)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        recs = harness._run_trials("stress", worker, _small_config(trials=400),
+                                   8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(400))
+    assert [r.snr_db for r in recs] == list(range(400))
+
+
+def test_a_failed_trial_stops_the_run(caller_blas_threads, monkeypatch):
+    # trial 1 fails while trial 0 runs on the other runner: the run raises
+    # trial 1's error once both runners and the draw thread are joined,
+    # and no runner starts a trial after it
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    events, started = [], threading.Event()
+
+    def worker(cfg, trial, drawer):
+        if trial == 1:
+            started.wait(10)
+        events.append(("start", trial))
+        if trial == 1:
+            events.append(("fail", trial))
+            raise ValueError("trial 1 failed")
+        started.set()
+        time.sleep(0.2)
+        return {}
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="trial 1 failed"):
+        harness._run_trials("fail", worker, _small_config(trials=6), 2)
+    assert events == [("start", 0), ("start", 1), ("fail", 1)]
+    assert threading.active_count() == threads
     assert _blas_threads() == caller_blas_threads
 
 
@@ -1534,7 +1597,8 @@ def test_the_next_two_blocks_are_in_flight(plan, in_flight):
     # a training burst never leaves the trial waiting for the long block
     # after it, and no more than two blocks are ever held
     cfg = _small_config()
-    with harness._Trial(cfg, 0, plan) as t:
+    with ThreadPoolExecutor(1) as drawer, harness._Trial(
+            cfg, 0, plan, drawer=drawer) as t:
         seen = [[n for n, _ in t.ahead]]
         for _ in plan:
             t.send(10.0, 0)
