@@ -54,7 +54,9 @@ def ridge_solve(Z: np.ndarray, T: np.ndarray, gamma: float) -> np.ndarray:
     Z, T = _real(Z, "Z"), _real(T, "T")
     if Z.ndim != 2:
         raise ValueError("Z must be a 2-D matrix")
-    # Z^T T as (T^T Z)^T: the same bits, and no transposed operand for BLAS
+    # Z^T T as (T^T Z)^T: no transposed operand for BLAS; bitwise equal to
+    # Z.T @ T under the bundled OpenBLAS on the shapes tried, and the
+    # golden hashes pin it
     return cho_solve(factor(gram(Z, gamma), gamma), (T.T @ Z).T)
 
 
@@ -104,7 +106,8 @@ class RlsState:
     def fold(self) -> RlsState:
         """Move the queued samples into G and C now; returns self."""
         if self._queue:
-            R, T = (np.array(a) for a in zip(*self._queue))
+            R = np.array([r for r, _ in self._queue])
+            T = np.array([t for _, t in self._queue])
             n = len(R)
             wR = R * (self.lam ** np.arange(n - 1, -1, -1.0))[:, None]
             G = self.lam ** n * self._G

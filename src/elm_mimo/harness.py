@@ -40,7 +40,7 @@ import json
 import numbers
 import os
 from collections import deque, namedtuple
-from contextlib import AbstractContextManager, suppress
+from contextlib import AbstractContextManager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, partial
@@ -169,16 +169,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"malformed config file {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"malformed config file {path}: {exc}") from exc
     return config_from_dict(data)
 
 
 def save_config(cfg: ExperimentConfig, path):
-    Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n",
-                          encoding="utf-8", newline="\n")   # tuples as lists
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(asdict(cfg), fh, indent=2)   # a tuple as a list
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,8 @@ class _Trial(AbstractContextManager):
     (in name order), their last models, counts per record key and the plan's
     next two blocks, queued on drawer; leaving `with` cancels those left."""
 
-    def __init__(self, cfg, trial: int, plan, names=(), drawer=None):
+    def __init__(self, cfg: ExperimentConfig, trial: int, plan, names=(),
+                 drawer=None):
         kids = np.random.SeedSequence([cfg.master_seed, trial]).spawn(5)
         self.cfg, self.counts, self.groups, self.models = cfg, {}, {}, {}
         for name in names:
@@ -325,10 +328,11 @@ class _Trial(AbstractContextManager):
 
 
 def _trial(arms, plan, cfg: ExperimentConfig, trial: int, drawer) -> dict:
-    """Walk the plan, drawn on drawer, with the arms named in arms: each
-    block (n, snr_db, m, calibrate, names, key) sends n vectors at snr_db
-    through realize(channel, m), then steps through the arms with
-    (calibrate, names, key): a fit once, a count once per _TILE rows."""
+    """Walk the plan with the arms named in arms, its blocks drawn on
+    drawer: each block (n, snr_db, m, calibrate, names, key) sends n
+    vectors at snr_db through realize(channel, m), then steps through the
+    arms with (calibrate, names, key): a fit once (key the config key that
+    sized it), a count once per tile of _TILE rows."""
     with _Trial(cfg, trial, [n for n, *_ in plan], arms, drawer) as t:
         for _, snr_db, m, *step in plan:
             # the last block is held until the next is sent: a payload chunk
@@ -437,13 +441,17 @@ def _tracking_plan(cfg: ExperimentConfig) -> list:
 
 def _cpu_count() -> int:
     """Cores this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)   # on Linux only
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        return os.cpu_count() or 1
 
 
-# thread-count getters, each with a _set_ twin: numpy's OpenBLAS, scipy's
-_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads")
+# thread-count (getter, setter): numpy's OpenBLAS (64-bit ints), scipy's
+_OPENBLAS_THREADS = (("scipy_openblas_get_num_threads64_",
+                      "scipy_openblas_set_num_threads64_"),
+                     ("scipy_openblas_get_num_threads",
+                      "scipy_openblas_set_num_threads"))
 
 
 @cache
@@ -452,11 +460,14 @@ def _loaded_openblas() -> tuple:
     loaded into this process, found once; none under MKL or a system BLAS."""
     libs = []
     for package in (np, scipy):
-        libdir = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        libdir = (Path(package.__file__).parent.parent
+                  / f"{package.__name__}.libs")
         for path in sorted(libdir.glob("*openblas*.so*")):
-            with suppress(OSError):   # bundled but not loaded
+            try:
                 libs.append(ctypes.CDLL(
                     str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
+            except OSError:  # bundled but not loaded
+                continue
     return tuple(libs)
 
 
@@ -478,17 +489,19 @@ def _run_trials(experiment, worker, cfg: ExperimentConfig, n_jobs: int):
             except BaseException as exc:
                 failed.append(exc)
 
-    blas = [(getattr(lib, get.replace("_get_", "_set_")), getattr(lib, get)())
-            for lib in _loaded_openblas() for get in _OPENBLAS_GETTERS
-            if hasattr(lib, get)]
+    blas = [(getattr(lib, put), getattr(lib, get)())
+            for lib in _loaded_openblas()
+            for get, put in _OPENBLAS_THREADS
+            if hasattr(lib, get) and hasattr(lib, put)]
     try:
         for put, _ in blas:
             put(1)
         with ThreadPoolExecutor(1) as drawer, \
-                ThreadPoolExecutor(workers) as runners:
-            for _ in range(workers - 1):   # and this thread is the last
-                runners.submit(run)
-            run()
+                ThreadPoolExecutor(max(workers - 1, 1)) as runners:
+            jobs = [runners.submit(run) for _ in range(workers - 1)]
+            run()   # this thread is the last runner
+            for job in jobs:
+                job.result()
     finally:
         for put, n in blas:
             put(n)
@@ -515,8 +528,8 @@ def run_bias_ablation(cfg: ExperimentConfig, n_jobs: int = 1):
     The ablation always quantizes: an ideal converter becomes 6 bits."""
     if cfg.adc.bits is None:
         cfg = replace(cfg, adc=replace(cfg.adc, bits=6))
-    return _run_trials("bias-ablation", partial(
-        _trial, ABLATION_SYSTEMS, _static_plan(cfg)), cfg, n_jobs)
+    worker = partial(_trial, ABLATION_SYSTEMS, _static_plan(cfg))
+    return _run_trials("bias-ablation", worker, cfg, n_jobs)
 
 
 def run_adaptive(cfg: ExperimentConfig, n_jobs: int = 1):

@@ -681,26 +681,32 @@ class _Stop(Exception):
     (3, 8, 4, (3, 1)),
     (64, 8, 4, (4, 1)),     # capped by the cores
     (64, 2, 4, (2, 1)),     # capped by the trials
-    (2, 1, 4, (1, 1)),      # one trial never needs a pool
+    (2, 1, 4, (1, 1)),      # one trial never needs a second runner
     (4, 8, 1, (1, 1)),
     (10**6, 10**6, 2, (2, 1)),
 ])
 def test_pool_shape_caps_workers_and_pins_one_blas_thread(
         monkeypatch, n_jobs, trials, nproc, shape):
     # shape = (runners, BLAS threads per runner): _run_trials runs trials
-    # on at most n_jobs threads, one per trial and per core, each on one
-    # BLAS thread whatever their number.  No trial runs: each runner's
-    # first one meets the others, records its thread and stops the run.
-    seen, meet = set(), threading.Barrier(shape[0], timeout=10)
+    # on this thread and at most n_jobs - 1 more, one per trial and per
+    # core, each on one BLAS thread whatever their number.  No trial runs:
+    # each runner's first one records its thread and meets the others,
+    # which counts the threads the run has started, then stops the run.
+    seen, started, threads = set(), [], threading.active_count()
+    # too few runners break the barrier; at its last arrival every runner
+    # is alive, and either all were started or one too many has arrived
+    meet = threading.Barrier(shape[0], timeout=10, action=lambda: (
+        started.append(threading.active_count() - threads)))
 
     def stop(cfg, trial, drawer):
-        meet.wait()   # more or fewer runners than expected break it
         seen.add((_runner(), max(_blas_threads(), default=1)))
+        meet.wait()
         raise _Stop
 
     monkeypatch.setattr(harness, "_cpu_count", lambda: nproc)
     with pytest.raises(_Stop):
         harness._run_trials("cap", stop, _small_config(trials=trials), n_jobs)
+    assert started == [shape[0] - 1]
     assert {n for _, n in seen} == {shape[1]}
     assert len(seen) == shape[0]
     assert {pid for (pid, _), _ in seen} == {os.getpid()}
@@ -732,16 +738,18 @@ def test_pool_workers_get_their_share_of_blas_threads(monkeypatch):
     _needs_openblas()
     before = _blas_threads()
     monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-    meet = threading.Barrier(2, timeout=10)
+    meet, drawers = threading.Barrier(2, timeout=10), set()
 
     def worker(cfg, trial, drawer):
         if trial < 2:   # both runners hold a trial at once
             meet.wait()
+        drawers.add(drawer)
         return _trial_blas_threads(cfg, trial, drawer)
 
     seen = _threads_in_trials(worker, 2)
     assert {counts for _, counts in seen} == {(1,) * len(before)}
     assert len({runner for runner, _ in seen}) == 2
+    assert len(drawers) == 1   # one draw thread serves both
     assert {pid for (pid, _), _ in seen} == {os.getpid()}
     assert _blas_threads() == before
 
